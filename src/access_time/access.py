@@ -9,6 +9,12 @@ It reduces to mean hitting times through
 which this module evaluates exactly from the solver, alongside the
 per-family closed forms and bounds, the symmetric-walk specializations
 through t_av, and formula-versus-solver verification reports.
+
+The closed forms are one table, ``CLOSED_FORMS``: per family a function of
+(spec, mu, nu) that returns the exact value, a lower and an upper bound,
+and the family's extra report fields.  ``family_report`` is the single
+wrapper that checks the pair, gets the solver value and measures the
+discrepancy; the ``closed_form_*`` functions are its per-family shorthands.
 """
 from __future__ import annotations
 
@@ -22,12 +28,13 @@ from .chains import (
     GRAPH_WALK_FAMILIES,
     ProbabilityVector,
     TransitionMatrix,
-    WINNING_STREAK_MAX_N,
     build_chain,
     truncated_moments,
+    tv_distance,
 )
 from .hitting import (
     HittingTimeMatrix,
+    argmax_smallest,
     birth_death_hitting_formula,
     hitting_time_matrix,
     is_hitting_symmetric,
@@ -38,7 +45,6 @@ from .hitting import (
 
 #: a closed form counts as agreeing with the solver inside this relative band
 ERRATUM_REL_TOL = 1e-8
-_TIE_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,8 @@ class FamilyReport:
     classical downhill hitting branch disagrees with the holding-boundary
     chain, so whenever the closed form drifts from the solver the report
     flags it and carries the value recomputed from the mirror-corrected
-    branch (which tracks the solver to rounding error).
+    branch (which tracks the solver to rounding error).  ``best_dirac`` is
+    complete-graph only: the Dirac source with the least access time to nu.
     """
 
     family: str
@@ -85,6 +92,7 @@ class FamilyReport:
     discrepancy: float
     erratum_flag: bool = False
     mirror_corrected: float | None = None
+    best_dirac: int | None = None
 
     def to_json(self) -> dict:
         out = {
@@ -98,14 +106,9 @@ class FamilyReport:
         if self.family == "birth_death":
             out["erratum_flag"] = self.erratum_flag
             out["mirror_corrected"] = self.mirror_corrected
+        if self.family == "complete":
+            out["best_dirac"] = self.best_dirac
         return out
-
-
-def _argmax_smallest(scores: np.ndarray) -> tuple[float, int]:
-    """Max and the smallest index within a relative whisker of it."""
-    value = float(scores.max())
-    slack = _TIE_REL_TOL * max(1.0, abs(value))
-    return value, int(np.flatnonzero(scores >= value - slack)[0])
 
 
 def _check_pair(P_or_N, mu: ProbabilityVector, nu: ProbabilityVector) -> None:
@@ -141,7 +144,7 @@ def access_time(
     _check_pair(P, mu, nu)
     M = hitting if hitting is not None else hitting_time_matrix(P)
     scores = (mu.weights - nu.weights) @ M.values
-    value, argmax = _argmax_smallest(scores)
+    value, argmax = argmax_smallest(scores)
     return AccessResult(value=value, argmax_target=argmax, per_target=scores)
 
 
@@ -149,22 +152,7 @@ def access_time(
 # family closed forms
 
 
-def _solver_value(spec: ChainSpec, mu, nu, hitting, precomputed):
-    if precomputed is not None:
-        return float(precomputed)
-    chain = build_chain(spec)
-    M = hitting if hitting is not None else hitting_time_matrix(chain)
-    return access_time(chain, mu, nu, hitting=M).value
-
-
-def closed_form_bd(
-    n: int,
-    p: float,
-    mu: ProbabilityVector,
-    nu: ProbabilityVector,
-    hitting: HittingTimeMatrix | None = None,
-    solver_value: float | None = None,
-) -> FamilyReport:
+def _bd_form(spec: ChainSpec, mu: ProbabilityVector, nu: ProbabilityVector) -> dict:
     """Symmetric birth-death transport time from moment functionals.
 
     exact = (E_nu Z - E_mu Z + max_j (E_mu[max(Z,j)^2 - min(Z,j)^2]
@@ -177,163 +165,153 @@ def closed_form_bd(
     that the lower bound inherits the same defect, so it bounds ``exact``
     but not necessarily ``solver_value``.
     """
-    _check_pair(n + 1, mu, nu)
-    spec = ChainSpec("birth_death", n=n, p=p)
-    solver = _solver_value(spec, mu, nu, hitting, solver_value)
+    n, p = spec.n, spec.p
     m_mu = truncated_moments(mu, np.arange(n + 1))
     m_nu = truncated_moments(nu, np.arange(n + 1))
     scan = max(m_mu.minmax_sq(j) - m_nu.minmax_sq(j) for j in range(n + 1))
-    exact = (m_nu.mean - m_mu.mean + scan) / (2 * p)
-    lower = max(0.0, m_nu.mean - m_mu.mean + m_mu.second_moment - m_nu.second_moment) / (2 * p)
-    upper = (2 * n * n + n) / (2 * p)
-    mirror = float(
-        ((mu.weights - nu.weights) @ birth_death_hitting_formula(n, p, "mirror")).max()
-    )
-    discrepancy = abs(exact - solver)
-    return FamilyReport(
-        family="birth_death",
-        exact=exact,
-        lower=lower,
-        upper=upper,
-        solver_value=solver,
-        discrepancy=discrepancy,
-        erratum_flag=discrepancy > ERRATUM_REL_TOL * max(1.0, abs(solver)),
-        mirror_corrected=mirror,
-    )
+    mirror = (mu.weights - nu.weights) @ birth_death_hitting_formula(n, p, "mirror")
+    return {
+        "exact": (m_nu.mean - m_mu.mean + scan) / (2 * p),
+        "lower": max(0.0, m_nu.mean - m_mu.mean + m_mu.second_moment - m_nu.second_moment)
+        / (2 * p),
+        "upper": (2 * n * n + n) / (2 * p),
+        "mirror_corrected": float(mirror.max()),
+    }
 
 
-def closed_form_ws(
-    n: int,
-    mu: ProbabilityVector,
-    nu: ProbabilityVector,
-    hitting: HittingTimeMatrix | None = None,
-    solver_value: float | None = None,
-) -> FamilyReport:
+def _ws_form(spec: ChainSpec, mu: ProbabilityVector, nu: ProbabilityVector) -> dict:
     """Winning streak transport time from truncated base-2 pgf values.
 
     exact = max_j E_nu[2^Z 1{Z <= j}] - E_mu[2^Z 1{Z <= j}], bounded below
     by (E_nu 2^Z - E_mu 2^Z)+ and above by 2^n.
     """
-    if n > WINNING_STREAK_MAX_N:
-        raise ChainSpecError(f"winning_streak closed form is capped at n = {WINNING_STREAK_MAX_N}")
-    _check_pair(n, mu, nu)
-    spec = ChainSpec("winning_streak", n=n)
-    solver = _solver_value(spec, mu, nu, hitting, solver_value)
-    labels = np.arange(1, n + 1)
-    m_mu = truncated_moments(mu, labels)
-    m_nu = truncated_moments(nu, labels)
-    exact = max(m_nu.truncated_pgf2(j) - m_mu.truncated_pgf2(j) for j in range(1, n + 1))
-    lower = max(0.0, m_nu.pgf2 - m_mu.pgf2)
-    upper = float(2**n)
-    return FamilyReport(
-        family="winning_streak",
-        exact=exact,
-        lower=lower,
-        upper=upper,
-        solver_value=solver,
-        discrepancy=abs(exact - solver),
-    )
+    n = spec.n
+    m_mu = truncated_moments(mu, np.arange(1, n + 1))
+    m_nu = truncated_moments(nu, np.arange(1, n + 1))
+    return {
+        "exact": max(m_nu.truncated_pgf2(j) - m_mu.truncated_pgf2(j) for j in range(1, n + 1)),
+        "lower": max(0.0, m_nu.pgf2 - m_mu.pgf2),
+        "upper": float(2**n),
+    }
 
 
-def closed_form_path(
-    n: int,
-    mu: ProbabilityVector,
-    nu: ProbabilityVector,
-    hitting: HittingTimeMatrix | None = None,
-    solver_value: float | None = None,
-) -> FamilyReport:
+def _path_form(spec: ChainSpec, mu: ProbabilityVector, nu: ProbabilityVector) -> dict:
     """Reflecting path transport time from second moments and excess values.
 
     exact = E_nu Z^2 - E_mu Z^2 + 2n max_j (E_mu(Z-j)+ - E_nu(Z-j)+),
     bounded below by (E_nu Z^2 - E_mu Z^2 + 2n(E_mu Z - E_nu Z))+ and above
     by n^2.
     """
-    _check_pair(n + 1, mu, nu)
-    spec = ChainSpec("path", n=n)
-    solver = _solver_value(spec, mu, nu, hitting, solver_value)
+    n = spec.n
     m_mu = truncated_moments(mu, np.arange(n + 1))
     m_nu = truncated_moments(nu, np.arange(n + 1))
     scan = max(m_mu.excess(j) - m_nu.excess(j) for j in range(n + 1))
-    exact = m_nu.second_moment - m_mu.second_moment + 2 * n * scan
-    lower = max(
-        0.0,
-        m_nu.second_moment - m_mu.second_moment + 2 * n * (m_mu.mean - m_nu.mean),
-    )
-    upper = float(n * n)
-    return FamilyReport(
-        family="path",
-        exact=exact,
-        lower=lower,
-        upper=upper,
-        solver_value=solver,
-        discrepancy=abs(exact - solver),
-    )
+    return {
+        "exact": m_nu.second_moment - m_mu.second_moment + 2 * n * scan,
+        "lower": max(
+            0.0,
+            m_nu.second_moment - m_mu.second_moment + 2 * n * (m_mu.mean - m_nu.mean),
+        ),
+        "upper": float(n * n),
+    }
 
 
-def closed_form_complete(
-    n: int,
-    mu: ProbabilityVector,
-    nu: ProbabilityVector,
-    hitting: HittingTimeMatrix | None = None,
-    solver_value: float | None = None,
-) -> tuple[FamilyReport, int]:
+def _complete_form(spec: ChainSpec, mu: ProbabilityVector, nu: ProbabilityVector) -> dict:
     """Complete-graph transport time n max_j (nu_j - mu_j), plus the best
     Dirac source.
 
     The Dirac mass minimizing H(delta_i, nu) sits at the mode of nu
     (smallest index on ties); the report's upper bound is n TV(mu, nu).
     """
-    _check_pair(n + 1, mu, nu)
-    spec = ChainSpec("complete", n=n)
-    solver = _solver_value(spec, mu, nu, hitting, solver_value)
-    diff = nu.weights - mu.weights
-    exact = float(n * diff.max())
-    lower = max(0.0, exact)
-    upper = float(n) * tv_distance_arrays(mu.weights, nu.weights)
-    _, best = _argmax_smallest(nu.weights)
-    report = FamilyReport(
-        family="complete",
-        exact=exact,
-        lower=lower,
-        upper=upper,
-        solver_value=solver,
-        discrepancy=abs(exact - solver),
-    )
-    return report, best
+    exact = float(spec.n * (nu.weights - mu.weights).max())
+    return {
+        "exact": exact,
+        "lower": max(0.0, exact),
+        "upper": float(spec.n) * tv_distance(mu, nu),
+        "best_dirac": argmax_smallest(nu.weights)[1],
+    }
 
 
-def closed_form_star(
-    n: int,
-    mu: ProbabilityVector,
-    nu: ProbabilityVector,
-    hitting: HittingTimeMatrix | None = None,
-    solver_value: float | None = None,
-) -> FamilyReport:
+def _star_form(spec: ChainSpec, mu: ProbabilityVector, nu: ProbabilityVector) -> dict:
     """n-star transport time nu_0 - mu_0 + 2n (max_{j>=1} (nu_j - mu_j))+.
 
     Upper bound (2n + 1) TV(mu, nu); the lower bound is the exact value
     itself (the leaf-wise bound is tight at the maximizing leaf).
     """
-    _check_pair(n + 1, mu, nu)
-    spec = ChainSpec("star", n=n)
-    solver = _solver_value(spec, mu, nu, hitting, solver_value)
+    n = spec.n
     diff = nu.weights - mu.weights
     exact = float(diff[0] + 2 * n * max(0.0, diff[1:].max()))
-    lower = exact
-    upper = (2 * n + 1) * tv_distance_arrays(mu.weights, nu.weights)
+    return {"exact": exact, "lower": exact, "upper": (2 * n + 1) * tv_distance(mu, nu)}
+
+
+#: family -> form(spec, mu, nu), returning ``exact``, ``lower``, ``upper`` and
+#: the family's extra FamilyReport fields
+CLOSED_FORMS = {
+    "birth_death": _bd_form,
+    "winning_streak": _ws_form,
+    "path": _path_form,
+    "complete": _complete_form,
+    "star": _star_form,
+}
+
+
+def family_report(
+    spec: ChainSpec,
+    mu: ProbabilityVector,
+    nu: ProbabilityVector,
+    hitting: HittingTimeMatrix | None = None,
+    solver_value: float | None = None,
+) -> FamilyReport:
+    """The family's closed form and bounds, checked against the exact solver.
+
+    The solver value is ``solver_value`` when given, else the transport
+    scan of ``hitting``; the chain is built and solved only when neither
+    is passed.  Raises for families without a closed form.
+    """
+    form = CLOSED_FORMS.get(spec.family)
+    if form is None:
+        raise ChainSpecError(f"family {spec.family!r} has no closed-form transport formula")
+    _check_pair(spec.num_states, mu, nu)
+    if solver_value is None:
+        M = hitting if hitting is not None else hitting_time_matrix(build_chain(spec))
+        solver_value = ((mu.weights - nu.weights) @ M.values).max()
+    solver = float(solver_value)
+    fields = form(spec, mu, nu)
+    discrepancy = abs(fields["exact"] - solver)
     return FamilyReport(
-        family="star",
-        exact=exact,
-        lower=lower,
-        upper=upper,
+        family=spec.family,
         solver_value=solver,
-        discrepancy=abs(exact - solver),
+        discrepancy=discrepancy,
+        erratum_flag=spec.family == "birth_death"
+        and discrepancy > ERRATUM_REL_TOL * max(1.0, abs(solver)),
+        **fields,
     )
 
 
-def tv_distance_arrays(p: np.ndarray, q: np.ndarray) -> float:
-    """Total variation distance, half the l1 distance."""
-    return float(np.abs(p - q).sum() / 2.0)
+def closed_form_bd(n, p, mu, nu, hitting=None, solver_value=None) -> FamilyReport:
+    """Birth-death report; see ``_bd_form`` for the formulas."""
+    return family_report(ChainSpec("birth_death", n=n, p=p), mu, nu, hitting, solver_value)
+
+
+def closed_form_ws(n, mu, nu, hitting=None, solver_value=None) -> FamilyReport:
+    """Winning-streak report; see ``_ws_form`` for the formulas."""
+    return family_report(ChainSpec("winning_streak", n=n), mu, nu, hitting, solver_value)
+
+
+def closed_form_path(n, mu, nu, hitting=None, solver_value=None) -> FamilyReport:
+    """Reflecting-path report; see ``_path_form`` for the formulas."""
+    return family_report(ChainSpec("path", n=n), mu, nu, hitting, solver_value)
+
+
+def closed_form_complete(n, mu, nu, hitting=None, solver_value=None) -> tuple[FamilyReport, int]:
+    """Complete-graph report and its best Dirac source; see ``_complete_form``."""
+    report = family_report(ChainSpec("complete", n=n), mu, nu, hitting, solver_value)
+    return report, report.best_dirac
+
+
+def closed_form_star(n, mu, nu, hitting=None, solver_value=None) -> FamilyReport:
+    """Star report; see ``_star_form`` for the formulas."""
+    return family_report(ChainSpec("star", n=n), mu, nu, hitting, solver_value)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +388,7 @@ def symmetric_walk_access(
     else:
         per_target = weighted - t_av
         reference = access_time(P, dist, pi, hitting=M)
-    value, argmax = _argmax_smallest(per_target)
+    value, argmax = argmax_smallest(per_target)
     if abs(value - reference.value) > 1e-8 * max(1.0, abs(reference.value)):
         raise RuntimeError(
             f"t_av specialization ({value}) and direct evaluation ({reference.value}) disagree"
@@ -444,45 +422,6 @@ class VerifyResult:
     sandwich_ok: bool
     mirror_corrected: float | None = None
 
-    def to_json(self) -> dict:
-        out = {
-            "family": self.family,
-            "n": self.n,
-            "status": self.status,
-            "exact": self.exact,
-            "solver_value": self.solver_value,
-            "lower": self.lower,
-            "upper": self.upper,
-            "discrepancy": self.discrepancy,
-            "sandwich_ok": self.sandwich_ok,
-        }
-        if self.p is not None:
-            out["p"] = self.p
-        if self.family == "birth_death":
-            out["mirror_corrected"] = self.mirror_corrected
-        return out
-
-
-def family_report(
-    spec: ChainSpec,
-    mu: ProbabilityVector,
-    nu: ProbabilityVector,
-    hitting: HittingTimeMatrix | None = None,
-    solver_value: float | None = None,
-) -> FamilyReport:
-    """Dispatch to the family's closed form; raises for families without one."""
-    if spec.family == "birth_death":
-        return closed_form_bd(spec.n, spec.p, mu, nu, hitting=hitting, solver_value=solver_value)
-    if spec.family == "winning_streak":
-        return closed_form_ws(spec.n, mu, nu, hitting=hitting, solver_value=solver_value)
-    if spec.family == "path":
-        return closed_form_path(spec.n, mu, nu, hitting=hitting, solver_value=solver_value)
-    if spec.family == "complete":
-        return closed_form_complete(spec.n, mu, nu, hitting=hitting, solver_value=solver_value)[0]
-    if spec.family == "star":
-        return closed_form_star(spec.n, mu, nu, hitting=hitting, solver_value=solver_value)
-    raise ChainSpecError(f"family {spec.family!r} has no closed-form transport formula")
-
 
 def verify_family(
     spec: ChainSpec,
@@ -511,7 +450,6 @@ def verify_family(
         status = "PASS"
     elif (
         spec.family == "birth_death"
-        and report.mirror_corrected is not None
         and abs(report.mirror_corrected - solver) <= slack
         and solver <= report.upper + slack
     ):

@@ -26,14 +26,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 ROW_SUM_HARD_TOL = 1e-9
-DIST_SUM_TOL = 1e-12
 WINNING_STREAK_MAX_N = 40  # 2**n exhausts the 53-bit mantissa beyond this
 
 SIZE_CAP_ENV = "ACCESS_TIME_MAX_N"
@@ -182,8 +180,9 @@ class TransitionMatrix:
     hypercube.  Internal storage is always 0-based; ``labels[i]`` is the
     name of row/column ``i``.
 
-    Rows must sum to 1 within ``ROW_SUM_HARD_TOL`` or construction fails;
-    generator output is exact, so a violation means a broken input.
+    Entries must be finite and non-negative and rows must sum to 1 within
+    ``ROW_SUM_HARD_TOL``, or construction fails; generator output is exact,
+    so a violation means a broken input.
     Irreducibility is not enforced here (``validate_chain`` can diagnose a
     reducible matrix), but every generated family is irreducible and the
     solver operations refuse reducible chains.
@@ -197,6 +196,8 @@ class TransitionMatrix:
         rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
             raise ChainSpecError(f"transition matrix must be square, got shape {rows.shape}")
+        if not np.all(np.isfinite(rows)):
+            raise ChainSpecError("transition probabilities must be finite")
         if np.any(rows < 0):
             raise ChainSpecError("transition probabilities must be non-negative")
         residual = np.abs(rows.sum(axis=1) - 1.0).max()
@@ -262,6 +263,13 @@ class ProbabilityVector:
     @property
     def dim(self) -> int:
         return self.weights.shape[0]
+
+
+def tv_distance(p: ProbabilityVector, q: ProbabilityVector) -> float:
+    """Total variation distance between two laws, half the l1 distance."""
+    if p.dim != q.dim:
+        raise ChainSpecError(f"dimension mismatch: {p.dim} vs {q.dim}")
+    return float(np.abs(p.weights - q.weights).sum() / 2.0)
 
 
 @dataclass(frozen=True)
@@ -525,12 +533,7 @@ class MomentBundle:
 
 def truncated_moments(dist: ProbabilityVector, labels) -> MomentBundle:
     """Bundle the moment functionals of ``dist`` over integer state labels."""
-    values = np.asarray(labels)
-    if values.dtype == object or not np.issubdtype(values.dtype, np.integer):
-        raise ChainSpecError("moment functionals need integer state labels")
-    if values.shape[0] != dist.dim:
-        raise ChainSpecError("labels and distribution must have the same length")
-    return MomentBundle(values=values, weights=dist.weights)
+    return MomentBundle(values=labels, weights=dist.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -20,30 +20,27 @@ import time
 import numpy as np
 from scipy.linalg import LinAlgError
 
-from .access import (
-    AccessResult,
-    access_time,
-    closed_form_complete,
-    family_report,
-    general_bounds,
-    verify_family,
-)
+from .access import CLOSED_FORMS, access_time, family_report, general_bounds, verify_family
 from .chains import (
     ChainSpec,
     ChainSpecError,
     DistSpec,
     ProbabilityVector,
     ReducibleChainError,
-    TransitionMatrix,
-    WINNING_STREAK_MAX_N,
     build_chain,
     build_distribution,
     validate_chain,
 )
-from .hitting import FLOAT_FMT, hitting_time_matrix, hitting_time_to, max_hitting_time
+from .hitting import (
+    FLOAT_FMT,
+    hitting_time_matrix,
+    hitting_time_to,
+    max_hitting_time,
+    write_table_csv,
+)
 from .simulate import simulate_rule
 
-CLOSED_FORM_FAMILIES = ("birth_death", "winning_streak", "path", "complete", "star")
+CLOSED_FORM_FAMILIES = tuple(CLOSED_FORMS)
 SCALE_SCENARIOS = ("worst_dirac", "random_pair", "paper_example")
 #: extremal Dirac pairs (as state indices) used above the enumeration cutoff
 WORST_DIRAC_CUTOFF = 64
@@ -81,6 +78,8 @@ def parse_dist_shorthand(text: str) -> DistSpec:
             at: object = int(raw)
         except ValueError:
             at = raw  # hypercube bit-string label
+        if str(at) != raw:
+            at = raw  # leading zeros: a bit string such as 0011, not the integer 11
         return DistSpec(kind="dirac", at=at)
     if text.startswith("binomial:"):
         try:
@@ -148,11 +147,7 @@ def cmd_gen(args) -> int:
         "diagnostics": diag.to_json(),
     }
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["state"] + [str(l) for l in chain.labels])
-            for i, label in enumerate(chain.labels):
-                writer.writerow([str(label)] + [FLOAT_FMT % v for v in chain.rows[i]])
+        write_table_csv(args.out, "state", chain.labels, chain.rows)
         report["out"] = args.out
     print(json.dumps(report, indent=2))
     return 0
@@ -167,14 +162,7 @@ def cmd_compute(args) -> int:
     result = access_time(chain, mu, nu, hitting=M)
     payload = result.to_json()
     if args.closed_form:
-        if spec.family not in CLOSED_FORM_FAMILIES:
-            raise ChainSpecError(f"family {spec.family!r} has no closed-form transport formula")
-        if spec.family == "complete":
-            report, best = closed_form_complete(spec.n, mu, nu, hitting=M)
-            payload["family_report"] = report.to_json()
-            payload["family_report"]["best_dirac"] = best
-        else:
-            payload["family_report"] = family_report(spec, mu, nu, hitting=M).to_json()
+        payload["family_report"] = family_report(spec, mu, nu, hitting=M).to_json()
     _emit_json(payload, None)
     return 0
 
@@ -190,6 +178,11 @@ def cmd_bounds(args) -> int:
         payload["out"] = args.out
     print(json.dumps(payload, indent=2))
     return 0
+
+
+def _family_spec(family: str, n: int, p: float) -> ChainSpec:
+    """Size-n spec of a family; only birth_death takes the --p value."""
+    return ChainSpec(family, n=n, p=p if family == "birth_death" else None)
 
 
 def _random_pair(rng: np.random.Generator, N: int) -> tuple[ProbabilityVector, ProbabilityVector]:
@@ -210,11 +203,7 @@ def cmd_verify(args) -> int:
     rows = []
     counts = {"PASS": 0, "ERRATUM": 0, "FAIL": 0}
     for n in ns:
-        spec = (
-            ChainSpec(args.family, n=n, p=args.p)
-            if args.family == "birth_death"
-            else ChainSpec(args.family, n=n)
-        )
+        spec = _family_spec(args.family, n, args.p)
         chain = build_chain(spec)
         M = hitting_time_matrix(chain)
         for trial in range(args.trials):
@@ -242,16 +231,9 @@ def cmd_verify(args) -> int:
     return 0 if counts["FAIL"] == 0 else 1
 
 
-_WORST_PAIRS = {
-    # state index pairs attaining the maximal hitting time, used when the
-    # state space is too large to enumerate every Dirac pair
-    "path": lambda spec, N: (0, N - 1),
-    "birth_death": lambda spec, N: (0, N - 1),
-    "winning_streak": lambda spec, N: (0, N - 1),
-    "hypercube": lambda spec, N: (0, N - 1),
-    "complete": lambda spec, N: (0, 1),
-    "star": lambda spec, N: (1, 2),
-}
+#: state index pairs attaining the maximal hitting time, used when the state
+#: space is too large to enumerate every Dirac pair; (0, N - 1) otherwise
+_WORST_PAIRS = {"complete": (0, 1), "star": (1, 2)}
 
 
 def _scale_distributions(spec: ChainSpec, chain, scenario: str, rng):
@@ -293,7 +275,7 @@ def _sweep_row(spec: ChainSpec, scenario: str, rng) -> dict:
             i_star = chain.labels.index(pair[0])
             j_star = chain.labels.index(pair[1])
         else:
-            i_star, j_star = _WORST_PAIRS[spec.family](spec, N)
+            i_star, j_star = _WORST_PAIRS.get(spec.family, (0, N - 1))
             column = hitting_time_to(chain, j_star)
             H = float(column[i_star])
             max_hit = H  # the known pair attains the maximum
@@ -342,16 +324,7 @@ def cmd_scale(args) -> int:
     rows = []
     for family in families:
         for n in ns:
-            if family == "winning_streak" and n > WINNING_STREAK_MAX_N:
-                raise ChainSpecError(
-                    f"winning_streak sweep n = {n} exceeds the cap {WINNING_STREAK_MAX_N}"
-                )
-            spec = (
-                ChainSpec(family, n=n, p=args.p)
-                if family == "birth_death"
-                else ChainSpec(family, n=n)
-            )
-            rows.append(_sweep_row(spec, args.scenario, rng))
+            rows.append(_sweep_row(_family_spec(family, n, args.p), args.scenario, rng))
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -65,11 +65,27 @@ class HittingTimeMatrix:
 
     def to_csv(self, path) -> None:
         """Write the full-precision table; header row names the targets."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["source"] + [str(l) for l in self.labels])
-            for i, label in enumerate(self.labels):
-                writer.writerow([str(label)] + [FLOAT_FMT % v for v in self.values[i]])
+        write_table_csv(path, "source", self.labels, self.values)
+
+
+def write_table_csv(path, corner: str, labels, values: np.ndarray) -> None:
+    """Write a labelled square table at full precision, ``corner`` heading the label column."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([corner] + [str(l) for l in labels])
+        for i, label in enumerate(labels):
+            writer.writerow([str(label)] + [FLOAT_FMT % v for v in values[i]])
+
+
+def argmax_smallest(scores: np.ndarray) -> tuple[float, int]:
+    """Maximum of ``scores`` and the smallest index tied with it.
+
+    Entries within TIE_REL_TOL of the maximum (relative, with a unit floor)
+    count as tied, which absorbs the last-ulp scatter of independent solves.
+    """
+    value = float(scores.max())
+    slack = TIE_REL_TOL * max(1.0, abs(value))
+    return value, int(np.flatnonzero(scores >= value - slack)[0])
 
 
 def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
@@ -145,14 +161,12 @@ def max_hitting_time(
 ) -> tuple[float, tuple]:
     """Maximal mean hitting time and its (source, target) label pair.
 
-    Ties (entries within TIE_REL_TOL of the maximum, which absorbs the
-    last-ulp scatter of independent column solves) resolve to the
-    lexicographically smallest index pair.
+    Ties resolve as in ``argmax_smallest``; the first tied entry in
+    row-major order is the lexicographically smallest index pair.
     """
     M = hitting if hitting is not None else hitting_time_matrix(P)
-    value = float(M.values.max())
-    ties = np.argwhere(M.values >= value - TIE_REL_TOL * max(1.0, abs(value)))
-    i, j = min(map(tuple, ties))
+    value, flat = argmax_smallest(M.values.ravel())
+    i, j = divmod(flat, M.size)
     return value, (M.labels[i], M.labels[j])
 
 
@@ -181,13 +195,6 @@ class SpectralSummary:
     t_av_spectral: float | None = None
     t_av_doublesum: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "eigenvalues": None if self.eigenvalues is None else list(self.eigenvalues),
-            "t_av_spectral": self.t_av_spectral,
-            "t_av_doublesum": self.t_av_doublesum,
-        }
-
 
 def kemeny_tav(
     P: TransitionMatrix, hitting: HittingTimeMatrix | None = None
@@ -210,7 +217,6 @@ def spectral_tav(P: TransitionMatrix) -> SpectralSummary:
     exactly.  Non-reversible chains are refused (the double-sum route is
     always available).
     """
-    _require_solvable(P)
     pi = stationary_distribution(P)
     residual = detailed_balance_residual(P, pi)
     if residual > REVERSIBLE_TOL:

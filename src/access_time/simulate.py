@@ -19,18 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ChainSpecError, ProbabilityVector, TransitionMatrix
+from .chains import ChainSpecError, ProbabilityVector, TransitionMatrix, tv_distance
 from .hitting import HittingTimeMatrix, _require_solvable, hitting_time_matrix
 
 RULES = ("independent_target",)
 MIN_SAMPLES = 1000
-
-
-def tv_distance(p: ProbabilityVector, q: ProbabilityVector) -> float:
-    """Total variation distance between two laws, half the l1 distance."""
-    if p.dim != q.dim:
-        raise ChainSpecError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    return float(np.abs(p.weights - q.weights).sum() / 2.0)
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,12 @@ def test_transition_matrix_rejects_bad_rows():
         TransitionMatrix(np.ones((2, 3)) / 3)
 
 
+def test_transition_matrix_rejects_nan_entries():
+    # NaN compares False both in the sign test and in the row-sum test
+    with pytest.raises(ChainSpecError, match="finite"):
+        TransitionMatrix(np.array([[np.nan, 1.0], [0.5, 0.5]]))
+
+
 def test_immutability():
     chain = build_chain(ChainSpec("path", n=3))
     with pytest.raises(ValueError):

@@ -33,6 +33,21 @@ def test_shorthand_grammar():
         parse_dist_shorthand("binomial:high")
 
 
+def test_hypercube_dirac_bit_strings_keep_leading_zeros(capsys):
+    cube = '{"family":"hypercube","n":4}'
+
+    def value(mu, nu):
+        code, out, err = run_cli(capsys, "compute", "--chain", cube, "--mu", mu, "--nu", nu)
+        assert code == 0, err
+        return json.loads(out)["value"]
+
+    assert parse_dist_shorthand("dirac:0011").at == "0011"
+    by_label = value("dirac:0000", "dirac:0011")
+    assert by_label == value("dirac:0", "dirac:3")
+    assert by_label == pytest.approx(56.0 / 3.0, rel=1e-9)
+    assert value("dirac:0000", "dirac:0101") == pytest.approx(56.0 / 3.0, rel=1e-9)
+
+
 def test_shorthand_file(tmp_path):
     path = tmp_path / "dist.json"
     path.write_text(json.dumps({"kind": "explicit", "weights": [1, 2, 1]}))

@@ -230,14 +230,25 @@ class TransitionMatrix:
         return np.asarray(self.labels, dtype=np.int64)
 
     def label_index(self, label) -> int:
-        """Index of a state given its label (hypercube also accepts the raw index)."""
+        """Index of a state given its label.
+
+        On a bit-string labelled chain (the hypercube) an integer is read as
+        the raw index when it is in range, and otherwise as the bit string
+        of its decimal digits: ``101`` is state ``"101"``.  The two readings
+        never collide, since a d-digit bit string read in decimal is at
+        least 2**d for d >= 2.
+        """
         try:
             return self.labels.index(label)
         except ValueError:
             pass
-        if isinstance(label, (int, np.integer)) and 0 <= int(label) < self.size:
-            if not all(isinstance(l, (int, np.integer)) for l in self.labels):
+        if isinstance(label, (int, np.integer)) and not all(
+            isinstance(l, (int, np.integer)) for l in self.labels
+        ):
+            if 0 <= int(label) < self.size:
                 return int(label)
+            if str(label) in self.labels:
+                return self.labels.index(str(label))
         raise ChainSpecError(f"state {label!r} is not on this chain")
 
 
@@ -566,23 +577,17 @@ class ChainDiagnostics:
 
 def _chain_period(rows: np.ndarray) -> int:
     """Period of an irreducible chain: gcd of (level[u] + 1 - level[v]) over edges."""
-    N = rows.shape[0]
-    level = np.full(N, -1, dtype=np.int64)
+    edges = rows > 0
+    level = np.full(rows.shape[0], -1, dtype=np.int64)
     level[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.flatnonzero(rows[u] > 0):
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
-    us, vs = np.nonzero(rows > 0)
-    for u, v in zip(us, vs):
-        g = math.gcd(g, int(level[u]) + 1 - int(level[v]))
-    return abs(g)
+    frontier = np.array([0])
+    depth = 0
+    while frontier.size:
+        depth += 1
+        frontier = np.flatnonzero(edges[frontier].any(axis=0) & (level < 0))
+        level[frontier] = depth
+    us, vs = np.nonzero(edges)
+    return int(np.gcd.reduce(level[us] + 1 - level[vs]))
 
 
 def validate_chain(P: TransitionMatrix) -> ChainDiagnostics:

@@ -3,9 +3,11 @@
 Expected values are recomputed here through routes the library never
 takes: exact rational Gaussian elimination for hitting times and
 stationary laws, plain Python scans for transport values, a distance
-chain recursion for the hypercube, and convolution for binomial weights.
+chain recursion for the hypercube, convolution for binomial weights, and
+boolean matrix powers for the period.
 """
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -93,3 +95,22 @@ def binomial_pmf_by_convolution(m, p):
     for _ in range(m):
         pmf = np.convolve(pmf, step)
     return pmf
+
+
+def return_time_period(rows):
+    """Period as the gcd of the return times t <= 3N to state 0.
+
+    Boolean matrix powers stand in for the graph: every cycle of length
+    l <= N is reached from state 0 and left again in at most N - 1 steps
+    each, so closed walks of lengths a + b and a + l + b, both <= 3N,
+    return to 0 and their gcd divides l.
+    """
+    step = (np.asarray(rows) > 0).astype(np.int64)
+    N = step.shape[0]
+    reach = np.eye(N, dtype=np.int64)
+    g = 0
+    for t in range(1, 3 * N + 1):
+        reach = np.minimum(reach @ step, 1)
+        if reach[0, 0]:
+            g = gcd(g, t)
+    return g

@@ -14,7 +14,7 @@ from access_time import (
     validate_chain,
 )
 from conftest import dirac
-from oracles import binomial_pmf_by_convolution
+from oracles import binomial_pmf_by_convolution, return_time_period
 
 
 # --- generators ------------------------------------------------------------
@@ -310,6 +310,38 @@ def test_validate_path_is_periodic():
     d = validate_chain(build_chain(ChainSpec("path", n=2)))
     assert d.irreducible and d.reversible
     assert not d.aperiodic and d.period == 2
+
+
+@pytest.mark.parametrize(
+    "spec, period",
+    [
+        (ChainSpec("path", n=9), 2),
+        (ChainSpec("star", n=6), 2),
+        (ChainSpec("hypercube", n=4), 2),
+        (ChainSpec("complete", n=7), 1),
+        (ChainSpec("winning_streak", n=9), 1),
+        (ChainSpec("birth_death", n=9, p=0.2), 1),
+        # a tree is bipartite; eight extra edges close an odd cycle
+        (ChainSpec("graph", edges=random_connected_graph(20, np.random.default_rng(5))), 2),
+        (
+            ChainSpec(
+                "graph",
+                edges=random_connected_graph(20, np.random.default_rng(6), extra_edges=8),
+            ),
+            1,
+        ),
+    ],
+    ids=lambda v: v.family if isinstance(v, ChainSpec) else None,
+)
+def test_validate_period(spec, period):
+    chain = build_chain(spec)
+    assert validate_chain(chain).period == period == return_time_period(chain.rows)
+
+
+def test_validate_period_of_directed_cycle():
+    rows = np.roll(np.eye(6), 1, axis=1)  # i -> i + 1 mod 6
+    rows[2, 3] = rows[2, 0] = 0.5  # cycles 0-1-2 and 0-1-2-3-4-5: period 3
+    assert validate_chain(TransitionMatrix(rows)).period == 3
 
 
 def test_validate_disconnected_blocks():

@@ -48,6 +48,18 @@ def test_hypercube_dirac_bit_strings_keep_leading_zeros(capsys):
     assert value("dirac:0000", "dirac:0101") == pytest.approx(56.0 / 3.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("d, bits", [(3, "101"), (4, "1010")])
+def test_hypercube_dirac_bit_strings_starting_with_one(capsys, d, bits):
+    cube = json.dumps({"family": "hypercube", "n": d})
+
+    def run(mu):
+        code, out, err = run_cli(capsys, "compute", "--chain", cube, "--mu", mu, "--nu", "uniform")
+        assert code == 0, err
+        return json.loads(out)
+
+    assert run(f"dirac:{bits}") == run(f"dirac:{int(bits, 2)}")
+
+
 def test_shorthand_file(tmp_path):
     path = tmp_path / "dist.json"
     path.write_text(json.dumps({"kind": "explicit", "weights": [1, 2, 1]}))

@@ -17,11 +17,13 @@ from access_time import (
     kemeny_tav,
     max_hitting_time,
     path_hitting_formula,
+    random_connected_graph,
     spectral_tav,
     star_hitting_formula,
     stationary_distribution,
     winning_streak_hitting_formula,
 )
+from access_time.hitting import STATIONARY_PANEL, detailed_balance_residual
 from conftest import small_family_chains
 from oracles import fraction_hitting_matrix, fraction_stationary
 
@@ -233,6 +235,45 @@ def test_stationary_large_chain_residual():
     pi = stationary_distribution(chain).weights
     assert np.abs(pi @ chain.rows - pi).max() <= 1e-10
     assert pi.min() > 0
+
+
+#: one partial panel, one full panel, and three full panels plus a partial one
+PANEL_SIZES = (STATIONARY_PANEL, STATIONARY_PANEL + 1, 3 * STATIONARY_PANEL + 20)
+
+
+def doubly_stochastic_chain(N, rng):
+    """A dominant directed N-cycle plus three random permutations with
+    weights log-spread over [1e-12, 1]: non-reversible, with uniform pi."""
+    weights = np.r_[1.0, 10.0 ** rng.uniform(-12, 0, size=3)]
+    targets = [np.roll(np.arange(N), -1)] + [rng.permutation(N) for _ in range(3)]
+    rows = np.zeros((N, N))
+    for w, target in zip(weights, targets):
+        rows[np.arange(N), target] += w
+    return TransitionMatrix(rows / weights.sum())
+
+
+@pytest.mark.parametrize("N", PANEL_SIZES)
+def test_stationary_panels_graph_walk(N, rng):
+    edges = random_connected_graph(N, rng, extra_edges=N)
+    chain = build_chain(ChainSpec("graph", edges=edges))
+    deg = np.bincount(np.ravel(edges), minlength=N)
+    pi = stationary_distribution(chain).weights
+    np.testing.assert_allclose(pi, deg / (2 * len(edges)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("N", PANEL_SIZES)
+def test_stationary_panels_stiff_birth_death(N):
+    chain = build_chain(ChainSpec("birth_death", n=N - 1, p=1e-12))
+    pi = stationary_distribution(chain).weights
+    np.testing.assert_allclose(pi, np.full(N, 1.0 / N), rtol=1e-12)
+
+
+@pytest.mark.parametrize("N", PANEL_SIZES)
+def test_stationary_panels_doubly_stochastic(N, rng):
+    chain = doubly_stochastic_chain(N, rng)
+    pi = stationary_distribution(chain)
+    assert detailed_balance_residual(chain, pi) > 0.1 / N  # genuinely non-reversible
+    np.testing.assert_allclose(pi.weights, np.full(N, 1.0 / N), rtol=1e-12)
 
 
 # --- max hitting, symmetry ------------------------------------------------------

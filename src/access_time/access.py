@@ -18,7 +18,7 @@ discrepancy; the ``closed_form_*`` functions are its per-family shorthands.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -95,19 +95,11 @@ class FamilyReport:
     best_dirac: int | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "family": self.family,
-            "exact": self.exact,
-            "lower": self.lower,
-            "upper": self.upper,
-            "solver_value": self.solver_value,
-            "discrepancy": self.discrepancy,
-        }
-        if self.family == "birth_death":
-            out["erratum_flag"] = self.erratum_flag
-            out["mirror_corrected"] = self.mirror_corrected
-        if self.family == "complete":
-            out["best_dirac"] = self.best_dirac
+        out = asdict(self)
+        if self.family != "birth_death":
+            del out["erratum_flag"], out["mirror_corrected"]
+        if self.family != "complete":
+            del out["best_dirac"]
         return out
 
 
@@ -166,9 +158,10 @@ def _bd_form(spec: ChainSpec, mu: ProbabilityVector, nu: ProbabilityVector) -> d
     but not necessarily ``solver_value``.
     """
     n, p = spec.n, spec.p
-    m_mu = truncated_moments(mu, np.arange(n + 1))
-    m_nu = truncated_moments(nu, np.arange(n + 1))
-    scan = max(m_mu.minmax_sq(j) - m_nu.minmax_sq(j) for j in range(n + 1))
+    cuts = np.arange(n + 1)
+    m_mu = truncated_moments(mu, cuts)
+    m_nu = truncated_moments(nu, cuts)
+    scan = float((m_mu.minmax_sq(cuts) - m_nu.minmax_sq(cuts)).max())
     mirror = (mu.weights - nu.weights) @ birth_death_hitting_formula(n, p, "mirror")
     return {
         "exact": (m_nu.mean - m_mu.mean + scan) / (2 * p),
@@ -186,10 +179,11 @@ def _ws_form(spec: ChainSpec, mu: ProbabilityVector, nu: ProbabilityVector) -> d
     by (E_nu 2^Z - E_mu 2^Z)+ and above by 2^n.
     """
     n = spec.n
-    m_mu = truncated_moments(mu, np.arange(1, n + 1))
-    m_nu = truncated_moments(nu, np.arange(1, n + 1))
+    cuts = np.arange(1, n + 1)
+    m_mu = truncated_moments(mu, cuts)
+    m_nu = truncated_moments(nu, cuts)
     return {
-        "exact": max(m_nu.truncated_pgf2(j) - m_mu.truncated_pgf2(j) for j in range(1, n + 1)),
+        "exact": float((m_nu.truncated_pgf2(cuts) - m_mu.truncated_pgf2(cuts)).max()),
         "lower": max(0.0, m_nu.pgf2 - m_mu.pgf2),
         "upper": float(2**n),
     }
@@ -203,9 +197,10 @@ def _path_form(spec: ChainSpec, mu: ProbabilityVector, nu: ProbabilityVector) ->
     by n^2.
     """
     n = spec.n
-    m_mu = truncated_moments(mu, np.arange(n + 1))
-    m_nu = truncated_moments(nu, np.arange(n + 1))
-    scan = max(m_mu.excess(j) - m_nu.excess(j) for j in range(n + 1))
+    cuts = np.arange(n + 1)
+    m_mu = truncated_moments(mu, cuts)
+    m_nu = truncated_moments(nu, cuts)
+    scan = float((m_mu.excess(cuts) - m_nu.excess(cuts)).max())
     return {
         "exact": m_nu.second_moment - m_mu.second_moment + 2 * n * scan,
         "lower": max(

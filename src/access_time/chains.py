@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -50,6 +51,9 @@ FAMILIES = (
 GRAPH_WALK_FAMILIES = ("graph", "path", "complete", "star", "hypercube")
 
 DIST_KINDS = ("dirac", "uniform", "binomial", "explicit", "stationary")
+
+#: cut points per chunk of a MomentBundle scan, which bounds its temporaries
+_CUT_CHUNK = 256
 
 
 class ChainSpecError(ValueError):
@@ -139,12 +143,10 @@ class ChainSpec:
 
     @property
     def num_states(self) -> int:
-        if self.family == "winning_streak":
+        if self.family in ("winning_streak", "graph"):
             return self.n
         if self.family == "hypercube":
             return 1 << self.n
-        if self.family == "graph":
-            return self.n
         return self.n + 1
 
     def to_json(self) -> dict:
@@ -185,7 +187,8 @@ class TransitionMatrix:
     so a violation means a broken input.
     Irreducibility is not enforced here (``validate_chain`` can diagnose a
     reducible matrix), but every generated family is irreducible and the
-    solver operations refuse reducible chains.
+    solver operations refuse reducible chains.  The strong-component count
+    behind both is computed once per chain, on first use.
     """
 
     rows: np.ndarray
@@ -222,6 +225,12 @@ class TransitionMatrix:
     @property
     def family(self) -> str | None:
         return self.spec.family if self.spec is not None else None
+
+    @cached_property
+    def strong_components(self) -> int:
+        """Number of strongly connected components of the transition graph."""
+        n_comp, _ = connected_components(csr_matrix(self.rows > 0), connection="strong")
+        return int(n_comp)
 
     def integer_labels(self) -> np.ndarray:
         """Labels as an integer array; rejects bit-string labelled chains."""
@@ -494,7 +503,8 @@ class MomentBundle:
     moment, the base-2 probability generating value ``E[2^Z]`` with its
     truncation ``E[2^Z 1{Z <= j}]``, the excess ``E[(Z - j)+]`` and the
     square spread ``E[max(Z, j)^2 - min(Z, j)^2]``.  Everything is a direct
-    sum over the support.
+    sum over the support; the last three take one cut point j or an array
+    of them, so a scan over every j is one array expression.
     """
 
     values: np.ndarray
@@ -527,19 +537,30 @@ class MomentBundle:
         """E[2^Z]."""
         return float(self.weights @ np.exp2(self.values.astype(float)))
 
-    def truncated_pgf2(self, j: int) -> float:
-        """E[2^Z 1{Z <= j}]."""
-        mask = self.values <= j
-        return float(self.weights[mask] @ np.exp2(self.values[mask].astype(float)))
+    def truncated_pgf2(self, j):
+        """E[2^Z 1{Z <= j}], for one cut point j or an array of them."""
+        return self._per_cut(j, lambda v, j: np.where(v <= j, np.exp2(v.astype(float)), 0.0))
 
-    def excess(self, j: int) -> float:
-        """E[(Z - j)+]."""
-        return float(self.weights @ np.maximum(self.values - j, 0).astype(float))
+    def excess(self, j):
+        """E[(Z - j)+], for one cut point j or an array of them."""
+        return self._per_cut(j, lambda v, j: np.maximum(v - j, 0).astype(float))
 
-    def minmax_sq(self, j: int) -> float:
-        """E[max(Z, j)^2 - min(Z, j)^2], which equals E[|Z^2 - j^2|]."""
-        v = self.values.astype(float)
-        return float(self.weights @ (np.maximum(v, j) ** 2 - np.minimum(v, j) ** 2))
+    def minmax_sq(self, j):
+        """E[max(Z, j)^2 - min(Z, j)^2], E[|Z^2 - j^2|] for j >= 0; one j or an array."""
+        return self._per_cut(
+            j, lambda v, j: np.maximum(v.astype(float), j) ** 2 - np.minimum(v.astype(float), j) ** 2
+        )
+
+    def _per_cut(self, j, term):
+        """Weights @ term(values, j): a float for a scalar cut point, else one
+        value per cut point, taken _CUT_CHUNK cut points at a time so every
+        temporary is _CUT_CHUNK x support, not cuts x support."""
+        j = np.asarray(j)
+        if j.ndim == 0:
+            return float(term(self.values, j) @ self.weights)
+        cuts = j.reshape(-1, 1)
+        chunks = np.array_split(cuts, range(_CUT_CHUNK, len(cuts), _CUT_CHUNK))
+        return np.concatenate([term(self.values, c) @ self.weights for c in chunks]).reshape(j.shape)
 
 
 def truncated_moments(dist: ProbabilityVector, labels) -> MomentBundle:
@@ -564,15 +585,7 @@ class ChainDiagnostics:
     aperiodic: bool | None
 
     def to_json(self) -> dict:
-        return {
-            "row_sum_residual": self.row_sum_residual,
-            "irreducible": self.irreducible,
-            "strong_components": self.strong_components,
-            "reversible": self.reversible,
-            "detailed_balance_residual": self.detailed_balance_residual,
-            "period": self.period,
-            "aperiodic": self.aperiodic,
-        }
+        return asdict(self)
 
 
 def _chain_period(rows: np.ndarray) -> int:
@@ -600,8 +613,7 @@ def validate_chain(P: TransitionMatrix) -> ChainDiagnostics:
     """
     rows = P.rows
     residual = float(np.abs(rows.sum(axis=1) - 1.0).max())
-    n_comp, _ = connected_components(csr_matrix(rows > 0), connection="strong")
-    irreducible = n_comp == 1
+    irreducible = P.strong_components == 1
     reversible = None
     db_residual = None
     period = None
@@ -617,7 +629,7 @@ def validate_chain(P: TransitionMatrix) -> ChainDiagnostics:
     return ChainDiagnostics(
         row_sum_residual=residual,
         irreducible=irreducible,
-        strong_components=int(n_comp),
+        strong_components=P.strong_components,
         reversible=reversible,
         detailed_balance_residual=db_residual,
         period=period,

@@ -18,7 +18,6 @@ import sys
 import time
 
 import numpy as np
-from scipy.linalg import LinAlgError
 
 from .access import CLOSED_FORMS, access_time, family_report, general_bounds, verify_family
 from .chains import (
@@ -246,11 +245,9 @@ def _scale_distributions(spec: ChainSpec, chain, scenario: str, rng):
             n = spec.n
             if n < 2:
                 raise ChainSpecError("the winning-streak example needs n >= 2")
-            mu = np.zeros(N)
-            mu[0] = 1.0
             nu = np.full(N, 1.0 / (2 * (n - 1)))
             nu[-1] = 0.5
-            return ProbabilityVector(mu), ProbabilityVector(nu)
+            return build_distribution(DistSpec(kind="dirac", at=1), chain), ProbabilityVector(nu)
         if spec.family == "path":
             mu = build_distribution(DistSpec(kind="uniform"), chain)
             nu = build_distribution(DistSpec(kind="binomial", p=0.2), chain)
@@ -272,18 +269,13 @@ def _sweep_row(spec: ChainSpec, scenario: str, rng) -> dict:
             M = hitting_time_matrix(chain)
             max_hit, pair = max_hitting_time(chain, hitting=M)
             H = max_hit  # max over Dirac pairs of E_i[tau_j]
-            i_star = chain.labels.index(pair[0])
-            j_star = chain.labels.index(pair[1])
         else:
             i_star, j_star = _WORST_PAIRS.get(spec.family, (0, N - 1))
             column = hitting_time_to(chain, j_star)
             H = float(column[i_star])
             max_hit = H  # the known pair attains the maximum
-        mu = np.zeros(N)
-        nu = np.zeros(N)
-        mu[i_star] = 1.0
-        nu[j_star] = 1.0
-        mu_v, nu_v = ProbabilityVector(mu), ProbabilityVector(nu)
+            pair = (chain.labels[i_star], chain.labels[j_star])
+        mu_v, nu_v = (build_distribution(DistSpec(kind="dirac", at=label), chain) for label in pair)
     else:
         mu_v, nu_v = pair
         M = hitting_time_matrix(chain)
@@ -429,7 +421,7 @@ def main(argv=None) -> int:
     except ReducibleChainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (LinAlgError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

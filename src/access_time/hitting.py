@@ -3,10 +3,14 @@
 The solver is the arbiter for every closed form in this package: for each
 target j the column (E_i[tau_j])_i solves the first-step system
 
-    h_j = 0,    h_i = 1 + sum_k p_{i,k} h_k   (i != j),
+    h_j = 0,    sum_{k != i} p_{i,k} (h_i - h_k) = 1   (i != j),
 
-which we factor densely per target with partial-pivoted LU.  Desk-scale
-by design; the state-count ceiling is ``chains.dense_size_cap()``.
+which reads, like the stationary reduction, only the off-diagonal rates:
+the diagonal is the row's off-diagonal sum, never 1 - p_ii, so a chain
+that mostly holds in place loses no digits to cancellation.  Each target
+is factored densely with partial-pivoted LU once the chain has said it
+is irreducible, a verdict it computes once and keeps.  Desk-scale by
+design; the state-count ceiling is ``chains.dense_size_cap()``.
 """
 from __future__ import annotations
 
@@ -14,9 +18,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, lu_factor, lu_solve
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.linalg import lu_factor, lu_solve
 
 from .chains import (
     ChainSpecError,
@@ -42,7 +44,7 @@ def _require_solvable(P: TransitionMatrix) -> None:
     cap = dense_size_cap()
     if P.size > cap:
         raise ChainSpecError(f"{P.size} states exceeds the dense solver cap {cap}")
-    n_comp, _ = connected_components(csr_matrix(P.rows > 0), connection="strong")
+    n_comp = P.strong_components
     if n_comp != 1:
         raise ReducibleChainError(f"chain is reducible ({n_comp} strongly connected components)")
 
@@ -113,11 +115,13 @@ def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
     if not 0 <= target < N:
         raise ChainSpecError(f"target index {target} out of range for {N} states")
     keep = np.r_[0:target, target + 1 : N]
-    A = np.eye(N - 1) - P.rows[np.ix_(keep, keep)]
-    try:
-        h = lu_solve(lu_factor(A), np.ones(N - 1))
-    except LinAlgError as exc:  # singular principal system means a closed subset
-        raise ReducibleChainError("hitting system is singular; chain is reducible") from exc
+    # gathered through P.rows.T, A is Fortran-ordered, so LAPACK factors it in place
+    A = P.rows.T[np.ix_(keep, keep)].T
+    np.negative(A, out=A)
+    np.fill_diagonal(A, 0.0)
+    # A holds -p_ik, so this adds the kept off-diagonal rates to p_i,target
+    np.fill_diagonal(A, P.rows[keep, target] - A.sum(axis=1))
+    h = lu_solve(lu_factor(A, overwrite_a=True), np.ones(N - 1))
     out = np.zeros(N)
     out[keep] = h
     return out

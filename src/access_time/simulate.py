@@ -59,16 +59,11 @@ class SimReport:
         }
 
 
-def _cumulative_rows(P: TransitionMatrix) -> np.ndarray:
-    C = np.cumsum(P.rows, axis=1)
-    C[:, -1] = 1.0  # guard the last bin against rounding
+def _cumulative(weights: np.ndarray) -> np.ndarray:
+    """Cumulative table of a law, or of each row of a transition matrix."""
+    C = np.cumsum(weights, axis=-1)
+    C[..., -1] = 1.0  # guard the last bin against rounding
     return C
-
-
-def _draw_states(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(weights)
-    cum[-1] = 1.0  # guard the last bin against rounding
-    return np.searchsorted(cum, u, side="right").astype(np.int64)
 
 
 def sample_trajectory(P: TransitionMatrix, start: int, stop: int, seed: int) -> int:
@@ -84,7 +79,7 @@ def sample_trajectory(P: TransitionMatrix, start: int, stop: int, seed: int) -> 
     if start == stop:
         return 0
     rng = np.random.Generator(np.random.Philox(key=seed))
-    C = _cumulative_rows(P)
+    C = _cumulative(P.rows)
     state = start
     steps = 0
     while state != stop:
@@ -136,9 +131,9 @@ def simulate_rule(
     theoretical = float(mu.weights @ M.values @ nu.weights)
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    current = _draw_states(mu.weights, rng.random(samples))
-    targets = _draw_states(nu.weights, rng.random(samples))
-    C = _cumulative_rows(P)
+    current = np.searchsorted(_cumulative(mu.weights), rng.random(samples), side="right")
+    targets = np.searchsorted(_cumulative(nu.weights), rng.random(samples), side="right")
+    C = _cumulative(P.rows)
 
     steps = np.zeros(samples, dtype=np.int64)
     active = current != targets

@@ -13,6 +13,7 @@ from access_time import (
     truncated_moments,
     validate_chain,
 )
+from access_time import chains
 from conftest import dirac
 from oracles import binomial_pmf_by_convolution, return_time_period
 
@@ -352,3 +353,28 @@ def test_validate_disconnected_blocks():
     assert not d.irreducible
     assert d.strong_components == 2
     assert d.reversible is None and d.period is None
+
+
+# --- moment scans over many cut points --------------------------------------
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 256])
+@pytest.mark.parametrize("labels", [np.arange(9), np.arange(1, 31)])
+def test_moment_bundle_array_cuts_match_direct_sums(labels, chunk, rng, monkeypatch):
+    monkeypatch.setattr(chains, "_CUT_CHUNK", chunk)  # cross several chunks of cut points
+    m = truncated_moments(ProbabilityVector(rng.dirichlet(np.ones(labels.size))), labels)
+    pairs = list(zip(m.values.tolist(), m.weights.tolist()))
+    cuts = np.arange(labels.min() - 1, labels.max() + 2)
+    expected = {
+        "truncated_pgf2": [sum(w * 2.0**z for z, w in pairs if z <= j) for j in cuts],
+        "excess": [sum(w * max(z - j, 0) for z, w in pairs) for j in cuts],
+        "minmax_sq": [sum(w * (max(z, j) ** 2 - min(z, j) ** 2) for z, w in pairs) for j in cuts],
+    }
+    for name, direct in expected.items():
+        scan = getattr(m, name)
+        np.testing.assert_allclose(scan(cuts), direct, rtol=1e-13, atol=1e-300)
+        grid = scan(cuts[:10].reshape(2, 5))
+        np.testing.assert_allclose(grid, np.reshape(direct[:10], (2, 5)), rtol=1e-13, atol=1e-300)
+        one = scan(int(cuts[3]))
+        assert type(one) is float
+        assert one == pytest.approx(direct[3], rel=1e-13)

@@ -360,3 +360,14 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == pytest.approx(0.75, rel=1e-9)
+
+
+def test_verify_stiff_birth_death_has_no_failures(capsys):
+    # at p = 1e-12 the holding probability is 1 - 2e-12; the solver must not
+    # lose the rate to cancellation and then blame the formula
+    code, out, _ = run_cli(
+        capsys, "verify", "--family", "birth_death", "--n", "40", "--trials", "40",
+        "--p", "1e-12", "--seed", "3",
+    )
+    assert code == 0
+    assert "0 FAIL" in out

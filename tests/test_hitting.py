@@ -23,6 +23,7 @@ from access_time import (
     stationary_distribution,
     winning_streak_hitting_formula,
 )
+from access_time import ProbabilityVector, sample_trajectory, simulate_rule, validate_chain
 from access_time.hitting import STATIONARY_PANEL, detailed_balance_residual
 from conftest import small_family_chains
 from oracles import fraction_hitting_matrix, fraction_stationary
@@ -381,3 +382,55 @@ def test_hitting_csv_round_trip(tmp_path):
     assert rows[0] == ["source", "1", "2", "3", "4"]
     parsed = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
     np.testing.assert_array_equal(parsed, M.values)  # %.17g is lossless
+
+
+# --- one irreducibility check per chain, off-diagonal first-step system ---------
+
+
+@pytest.mark.parametrize("p", [1e-12, 1e-8, 1e-4])
+def test_hitting_matrix_stiff_birth_death(p):
+    # a holding probability of 1 - 2p must not cost digits: the system reads
+    # the rates p, not 1 - (1 - 2p)
+    M = hitting_time_matrix(build_chain(ChainSpec("birth_death", n=50, p=p)))
+    np.testing.assert_allclose(
+        M.values, birth_death_hitting_formula(50, p, "mirror"), rtol=1e-12, atol=0.0
+    )
+
+
+def test_strong_components_computed_once_per_chain(monkeypatch):
+    import importlib
+
+    calls = []
+    for name in ("chains", "hitting", "simulate", "access", "cli"):
+        module = importlib.import_module(f"access_time.{name}")
+        original = getattr(module, "connected_components", None)
+        if original is None:
+            continue
+
+        def counting(*args, _original=original, **kwargs):
+            if kwargs.get("connection") == "strong":
+                calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "connected_components", counting)
+    chain = build_chain(ChainSpec("path", n=8))
+    uniform = ProbabilityVector(np.full(9, 1 / 9))
+    assert validate_chain(chain).irreducible
+    stationary_distribution(chain)
+    hitting_time_matrix(chain)
+    simulate_rule(chain, uniform, uniform, samples=1_000, seed=2)
+    assert len(calls) == 1
+
+
+def test_reducible_chain_refused_by_every_solve():
+    rows = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])  # 0 absorbs
+    chain = TransitionMatrix(rows)
+    assert chain.strong_components == 2
+    uniform = ProbabilityVector(np.full(3, 1 / 3))
+    for target in range(3):
+        with pytest.raises(ReducibleChainError, match="2 strongly connected"):
+            hitting_time_to(chain, target)
+    with pytest.raises(ReducibleChainError):
+        simulate_rule(chain, uniform, uniform, samples=1_000)
+    with pytest.raises(ReducibleChainError):
+        sample_trajectory(chain, 2, 0, seed=0)

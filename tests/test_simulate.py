@@ -131,3 +131,53 @@ def test_simulate_rule_reuses_hitting_matrix():
     a = simulate_rule(chain, dirac(0, 6), nu, samples=2_000, seed=4, hitting=M)
     b = simulate_rule(chain, dirac(0, 6), nu, samples=2_000, seed=4)
     assert a.theoretical_mean == b.theoretical_mean and a.mean_t == b.mean_t
+
+
+# --- fixed outputs: one kernel serves sample_trajectory and simulate_rule ----------
+
+
+@pytest.mark.parametrize(
+    "spec, start, stop, lengths",
+    [
+        (ChainSpec("path", n=6), 0, 6, [54, 22, 16, 20, 60]),
+        (ChainSpec("complete", n=5), 0, 3, [4, 9, 3, 6, 2]),
+        (ChainSpec("winning_streak", n=6), 0, 5, [139, 22, 54, 21, 60]),
+        (ChainSpec("birth_death", n=5, p=0.3), 5, 0, [14, 27, 30, 73, 27]),
+        (ChainSpec("star", n=4), 1, 2, [6, 16, 2, 4, 2]),
+    ],
+)
+def test_trajectory_pinned_lengths(spec, start, stop, lengths):
+    chain = build_chain(spec)
+    seeds = (0, 1, 7, 42, 2**31 - 1)
+    assert [sample_trajectory(chain, start, stop, seed=s) for s in seeds] == lengths
+
+
+@pytest.mark.parametrize(
+    "spec, seed, mean_t, stderr, counts",
+    [
+        (ChainSpec("path", n=5), 3, 10.046, 0.331068339051866, [333, 308, 344, 345, 338, 332]),
+        (ChainSpec("winning_streak", n=4), 11, 3.908, 0.14384753754245677, [471, 524, 487, 518]),
+        (
+            ChainSpec("birth_death", n=4, p=0.25),
+            123456789,
+            16.2265,
+            0.556457924362474,
+            [390, 370, 409, 402, 429],
+        ),
+    ],
+)
+def test_simulate_rule_pinned_report(spec, seed, mean_t, stderr, counts):
+    chain = build_chain(spec)
+    N = chain.size
+    mu = ProbabilityVector(np.arange(1, N + 1, dtype=float))
+    report = simulate_rule(chain, mu, ProbabilityVector(np.ones(N)), samples=2_000, seed=seed)
+    assert report.mean_t == mean_t and report.stderr == stderr
+    np.testing.assert_array_equal(report.empirical_law.weights * 2_000, counts)
+
+
+def test_trajectory_refuses_out_of_range_states():
+    chain = build_chain(ChainSpec("path", n=3))
+    with pytest.raises(ChainSpecError, match="out of range"):
+        sample_trajectory(chain, 0, 4, seed=0)
+    with pytest.raises(ChainSpecError, match="out of range"):
+        sample_trajectory(chain, -1, 2, seed=0)

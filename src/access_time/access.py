@@ -26,16 +26,15 @@ from .chains import (
     ChainSpec,
     ChainSpecError,
     GRAPH_WALK_FAMILIES,
+    MomentBundle,
     ProbabilityVector,
     TransitionMatrix,
     build_chain,
-    truncated_moments,
     tv_distance,
 )
 from .hitting import (
     HittingTimeMatrix,
     argmax_smallest,
-    birth_death_hitting_formula,
     hitting_time_matrix,
     is_hitting_symmetric,
     kemeny_tav,
@@ -145,68 +144,62 @@ def access_time(
 
 
 def _bd_form(spec: ChainSpec, mu: ProbabilityVector, nu: ProbabilityVector) -> dict:
-    """Symmetric birth-death transport time from moment functionals.
+    """Symmetric birth-death transport time from moments of d = mu - nu.
 
-    exact = (E_nu Z - E_mu Z + max_j (E_mu[max(Z,j)^2 - min(Z,j)^2]
-             - E_nu[max(Z,j)^2 - min(Z,j)^2])) / 2p
+    exact = (-E_d Z + max_j E_d|Z^2 - j^2|) / 2p
 
-    with lower bound (E_nu Z - E_mu Z + E_mu Z^2 - E_nu Z^2)+ / 2p and
-    upper bound (2n^2 + n) / 2p.  The downhill inconsistency described on
-    FamilyReport applies: mu-to-nu transports that lean on downhill moves
-    can drift from the solver, in which case ``erratum_flag`` is set.  Note
-    that the lower bound inherits the same defect, so it bounds ``exact``
-    but not necessarily ``solver_value``.
+    with lower bound (E_d Z^2 - E_d Z)+ / 2p and upper bound (2n^2 + n) / 2p.
+    The downhill inconsistency described on FamilyReport applies: mu-to-nu
+    transports that lean on downhill moves can drift from the solver, in
+    which case ``erratum_flag`` is set.  Note that the lower bound inherits
+    the same defect, so it bounds ``exact`` but not necessarily
+    ``solver_value``.  The mirror branch reads, for every i and j,
+    2p E_i[tau_j] = (j^2 + j) - (i^2 + i) + 2(n+1)(i - j)+, so with
+    sum d = 0
+
+    mirror_corrected = (-E_d Z^2 - E_d Z + 2(n+1) max_j E_d(Z-j)+) / 2p.
     """
     n, p = spec.n, spec.p
     cuts = np.arange(n + 1)
-    m_mu = truncated_moments(mu, cuts)
-    m_nu = truncated_moments(nu, cuts)
-    scan = float((m_mu.minmax_sq(cuts) - m_nu.minmax_sq(cuts)).max())
-    mirror = (mu.weights - nu.weights) @ birth_death_hitting_formula(n, p, "mirror")
+    m = MomentBundle(cuts, mu.weights - nu.weights)
     return {
-        "exact": (m_nu.mean - m_mu.mean + scan) / (2 * p),
-        "lower": max(0.0, m_nu.mean - m_mu.mean + m_mu.second_moment - m_nu.second_moment)
-        / (2 * p),
+        "exact": (float(m.minmax_sq(cuts).max()) - m.mean) / (2 * p),
+        "lower": max(0.0, m.second_moment - m.mean) / (2 * p),
         "upper": (2 * n * n + n) / (2 * p),
-        "mirror_corrected": float(mirror.max()),
+        "mirror_corrected": (2 * (n + 1) * float(m.excess(cuts).max()) - m.second_moment - m.mean)
+        / (2 * p),
     }
 
 
 def _ws_form(spec: ChainSpec, mu: ProbabilityVector, nu: ProbabilityVector) -> dict:
-    """Winning streak transport time from truncated base-2 pgf values.
+    """Winning streak transport time from truncated base-2 pgf values of d = mu - nu.
 
-    exact = max_j E_nu[2^Z 1{Z <= j}] - E_mu[2^Z 1{Z <= j}], bounded below
-    by (E_nu 2^Z - E_mu 2^Z)+ and above by 2^n.
+    exact = max_j -E_d[2^Z 1{Z <= j}], bounded below by (-E_d 2^Z)+ and
+    above by 2^n.
     """
     n = spec.n
     cuts = np.arange(1, n + 1)
-    m_mu = truncated_moments(mu, cuts)
-    m_nu = truncated_moments(nu, cuts)
+    m = MomentBundle(cuts, mu.weights - nu.weights)
     return {
-        "exact": float((m_nu.truncated_pgf2(cuts) - m_mu.truncated_pgf2(cuts)).max()),
-        "lower": max(0.0, m_nu.pgf2 - m_mu.pgf2),
+        # 0.0 - min rather than max of the negation, so mu == nu reads 0.0, not -0.0
+        "exact": 0.0 - float(m.truncated_pgf2(cuts).min()),
+        "lower": max(0.0, -m.pgf2),
         "upper": float(2**n),
     }
 
 
 def _path_form(spec: ChainSpec, mu: ProbabilityVector, nu: ProbabilityVector) -> dict:
-    """Reflecting path transport time from second moments and excess values.
+    """Reflecting path transport time from moments of d = mu - nu.
 
-    exact = E_nu Z^2 - E_mu Z^2 + 2n max_j (E_mu(Z-j)+ - E_nu(Z-j)+),
-    bounded below by (E_nu Z^2 - E_mu Z^2 + 2n(E_mu Z - E_nu Z))+ and above
-    by n^2.
+    exact = -E_d Z^2 + 2n max_j E_d(Z-j)+, bounded below by
+    (-E_d Z^2 + 2n E_d Z)+ and above by n^2.
     """
     n = spec.n
     cuts = np.arange(n + 1)
-    m_mu = truncated_moments(mu, cuts)
-    m_nu = truncated_moments(nu, cuts)
-    scan = float((m_mu.excess(cuts) - m_nu.excess(cuts)).max())
+    m = MomentBundle(cuts, mu.weights - nu.weights)
     return {
-        "exact": m_nu.second_moment - m_mu.second_moment + 2 * n * scan,
-        "lower": max(
-            0.0,
-            m_nu.second_moment - m_mu.second_moment + 2 * n * (m_mu.mean - m_nu.mean),
-        ),
+        "exact": 2 * n * float(m.excess(cuts).max()) - m.second_moment,
+        "lower": max(0.0, 2 * n * m.mean - m.second_moment),
         "upper": float(n * n),
     }
 

@@ -24,6 +24,7 @@ shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -64,6 +65,11 @@ class ReducibleChainError(ValueError):
     """The operation needs an irreducible chain and this one is not."""
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a bool, which JSON ``true`` would otherwise pass as 1."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def dense_size_cap() -> int:
     """Largest state count the dense solver path will accept.
 
@@ -101,16 +107,19 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ChainSpecError(f"unknown family {self.family!r}")
+        if self.n is not None and not _is_int(self.n):
+            raise ChainSpecError(f"n must be an integer, got {self.n!r}")
         if self.family == "graph":
             self._init_graph()
         else:
             if self.edges is not None:
                 raise ChainSpecError(f"{self.family} does not take an edge list")
-            if self.n is None or int(self.n) < 1:
+            if self.n is None or self.n < 1:
                 raise ChainSpecError(f"{self.family} needs a positive size n")
             object.__setattr__(self, "n", int(self.n))
         if self.family == "birth_death":
-            if self.p is None or not (0.0 < self.p <= 0.5):
+            real = isinstance(self.p, numbers.Real) and not isinstance(self.p, bool)
+            if not real or not (0.0 < self.p <= 0.5):
                 raise ChainSpecError("birth_death needs p in (0, 1/2]")
             object.__setattr__(self, "p", float(self.p))
         elif self.p is not None:
@@ -122,10 +131,12 @@ class ChainSpec:
             )
 
     def _init_graph(self) -> None:
-        if not self.edges:
+        if not isinstance(self.edges, (tuple, list)) or not self.edges:
             raise ChainSpecError("graph needs a non-empty edge list")
         seen: set[tuple[int, int]] = set()
         for pair in self.edges:
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2 or not all(map(_is_int, pair)):
+                raise ChainSpecError(f"edge {pair!r} is not a pair of integer vertices")
             u, v = (int(pair[0]), int(pair[1]))
             if u == v:
                 raise ChainSpecError(f"self loop at vertex {u}; the graph must be simple")
@@ -134,7 +145,7 @@ class ChainSpec:
             seen.add((min(u, v), max(u, v)))
         edges = tuple(sorted(seen))
         n_vertices = max(v for e in edges for v in e) + 1
-        if self.n is not None and int(self.n) != n_vertices:
+        if self.n is not None and self.n != n_vertices:
             raise ChainSpecError(
                 f"n = {self.n} does not match the {n_vertices} vertices implied by the edges"
             )
@@ -167,10 +178,7 @@ class ChainSpec:
         extra = set(obj) - known
         if extra:
             raise ChainSpecError(f"unknown chain spec keys: {sorted(extra)}")
-        edges = obj.get("edges")
-        if edges is not None:
-            edges = tuple((int(u), int(v)) for u, v in edges)
-        return cls(family=obj["family"], n=obj.get("n"), p=obj.get("p"), edges=edges)
+        return cls(family=obj["family"], n=obj.get("n"), p=obj.get("p"), edges=obj.get("edges"))
 
 
 @dataclass(frozen=True)
@@ -504,7 +512,10 @@ class MomentBundle:
     truncation ``E[2^Z 1{Z <= j}]``, the excess ``E[(Z - j)+]`` and the
     square spread ``E[max(Z, j)^2 - min(Z, j)^2]``.  Everything is a direct
     sum over the support; the last three take one cut point j or an array
-    of them, so a scan over every j is one array expression.
+    of them, so a scan over every j is one array expression.  The weights
+    may be a signed measure: every functional is linear in them, so the
+    bundle of ``mu - nu`` reads each difference ``E_mu f - E_nu f`` in
+    one scan.
     """
 
     values: np.ndarray

@@ -110,13 +110,16 @@ def _parse_chain(text: str) -> ChainSpec:
 def _parse_n_list(text: str) -> list[int]:
     """``10`` or ``2..20`` or comma-separated mixes of both."""
     out: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if ".." in part:
+                lo, hi = part.split("..", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(part))
+    except ValueError as exc:
+        raise ChainSpecError(f"bad n list {text!r}") from exc
     if not out or any(n < 1 for n in out):
         raise ChainSpecError(f"bad n list {text!r}")
     return out
@@ -161,7 +164,7 @@ def cmd_compute(args) -> int:
     result = access_time(chain, mu, nu, hitting=M)
     payload = result.to_json()
     if args.closed_form:
-        payload["family_report"] = family_report(spec, mu, nu, hitting=M).to_json()
+        payload["family_report"] = family_report(spec, mu, nu, solver_value=result.value).to_json()
     _emit_json(payload, None)
     return 0
 

@@ -137,13 +137,14 @@ def hitting_time_matrix(P: TransitionMatrix) -> HittingTimeMatrix:
     return HittingTimeMatrix(values=values, labels=P.labels)
 
 
-def stationary_distribution(P: TransitionMatrix) -> ProbabilityVector:
-    """Invariant law of an irreducible chain via blocked state reduction.
+def _state_reduction(P: TransitionMatrix) -> np.ndarray:
+    """Blocked Grassmann-Taksar-Heyman reduction of a chain, as one array.
 
-    This is the Grassmann-Taksar-Heyman reduction: fold state k into
-    states 0..k-1 for k = N-1 down to 1, dividing column k by the pivot
-    s_k = sum_{j<k} a_kj and adding the outer product of column k and
-    row k, then back-substitute x_0 = 1, x_k = sum_{i<k} x_i a_ik.
+    Fold state k into states 0..k-1 for k = N-1 down to 1: divide column
+    k by the pivot s_k = sum_{j<k} a_kj, then add the outer product of
+    column k and row k to the leading block.  The returned array keeps,
+    for every k, the row of state k as it was folded in ``A[k, :k]``
+    (so the pivot is its sum) and the divided column in ``A[:k, k]``.
 
     States fold in panels of ``STATIONARY_PANEL``.  Inside a panel, each
     state first receives the pending updates of the panel states folded
@@ -151,19 +152,17 @@ def stationary_distribution(P: TransitionMatrix) -> ProbabilityVector:
     as two matrix-vector products.  The panel's own block is updated
     per state.  The rest of the leading block then takes the whole
     panel at once, ``A[:lo, :lo] += A[:lo, lo:hi] @ A[lo:hi, :lo]``, as
-    a GEMM in row chunks, so no temporary grows to N x N.  The cost is
-    about 2N^3/3 flops, almost all of them in that GEMM.
+    a GEMM in row chunks that stop at ``lo``, so no temporary grows to
+    N x N and the stored rows of folded states stay as they were.  The
+    cost is about 2N^3/3 flops, almost all of them in that GEMM.
 
     Every pivot is a row sum and every update adds products of
     non-negative numbers, so nothing is ever subtracted.  Blocking only
-    reorders the additions: each entry of pi keeps a small relative
-    error, however stiff the rates, and the residual of pi P = pi stays
-    near machine precision.
+    reorders the additions.
     """
     _require_solvable(P)
     A = P.rows.copy()
-    N = A.shape[0]
-    hi = N
+    hi = A.shape[0]
     while hi > 1:
         lo = max(1, hi - STATIONARY_PANEL)
         for k in range(hi - 1, lo - 1, -1):
@@ -172,8 +171,23 @@ def stationary_distribution(P: TransitionMatrix) -> ProbabilityVector:
             A[:k, k] /= A[k, :k].sum()
             A[lo:k, lo:k] += np.outer(A[lo:k, k], A[k, lo:k])
         for r in range(0, lo, _GEMM_ROWS):
-            A[r : r + _GEMM_ROWS, :lo] += A[r : r + _GEMM_ROWS, lo:hi] @ A[lo:hi, :lo]
+            rows = slice(r, min(r + _GEMM_ROWS, lo))
+            A[rows, :lo] += A[rows, lo:hi] @ A[lo:hi, :lo]
         hi = lo
+    return A
+
+
+def stationary_distribution(P: TransitionMatrix) -> ProbabilityVector:
+    """Invariant law of an irreducible chain via blocked state reduction.
+
+    ``_state_reduction`` folds the states, then the back-substitution
+    x_0 = 1, x_k = sum_{i<k} x_i a_ik gives pi up to normalization.  As
+    nothing is ever subtracted, each entry of pi keeps a small relative
+    error, however stiff the rates, and the residual of pi P = pi stays
+    near machine precision.
+    """
+    A = _state_reduction(P)
+    N = A.shape[0]
     x = np.empty(N)
     x[0] = 1.0
     for k in range(1, N):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from access_time import (
     ChainSpecError,
     ProbabilityVector,
     access_time,
+    birth_death_hitting_formula,
     build_chain,
     build_distribution,
     closed_form_bd,
@@ -13,6 +16,7 @@ from access_time import (
     closed_form_path,
     closed_form_star,
     closed_form_ws,
+    family_report,
     general_bounds,
     hitting_time_matrix,
     kemeny_tav,
@@ -454,3 +458,31 @@ def test_verify_ws_at_mantissa_scale():
     assert res.status == "PASS"
     assert res.lower == pytest.approx(2.0**n - 2.0, rel=1e-12)
     assert res.solver_value == pytest.approx(res.lower, rel=1e-9)
+
+
+# --- birth-death mirror value from moments ------------------------------------
+
+
+@pytest.mark.parametrize("p", [0.5, 0.2, 1e-12])
+@pytest.mark.parametrize("n", [1, 2, 40, 300])
+def test_mirror_corrected_matches_table_scan(n, p, rng):
+    spec = ChainSpec("birth_death", n=n, p=p)
+    table = birth_death_hitting_formula(n, p, "mirror")
+    pairs = [dirichlet_pair(rng, n + 1) for _ in range(3)]
+    pairs += [(dirac(n, n + 1), dirac(0, n + 1)), (dirac(0, n + 1), dirac(n, n + 1))]
+    for mu, nu in pairs:
+        expected = ((mu.weights - nu.weights) @ table).max()
+        report = family_report(spec, mu, nu, solver_value=0.0)
+        assert report.mirror_corrected == pytest.approx(expected, rel=1e-12)
+
+
+def test_birth_death_report_needs_no_state_by_state_table(rng):
+    N = 4096
+    mu, nu = dirichlet_pair(rng, N)
+    tracemalloc.start()
+    try:
+        family_report(ChainSpec("birth_death", n=N - 1, p=0.25), mu, nu, solver_value=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < N * N * 8  # one N x N table of doubles is 128 MiB

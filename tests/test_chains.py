@@ -378,3 +378,15 @@ def test_moment_bundle_array_cuts_match_direct_sums(labels, chunk, rng, monkeypa
         one = scan(int(cuts[3]))
         assert type(one) is float
         assert one == pytest.approx(direct[3], rel=1e-13)
+
+
+@pytest.mark.parametrize("labels", [np.arange(9), np.arange(1, 31), np.arange(300)])
+def test_signed_moment_bundle_scans_the_difference(labels, rng):
+    mu, nu = (ProbabilityVector(rng.dirichlet(np.ones(labels.size))) for _ in range(2))
+    m_mu, m_nu = truncated_moments(mu, labels), truncated_moments(nu, labels)
+    signed = chains.MomentBundle(labels, mu.weights - nu.weights)
+    cuts = np.arange(labels.min() - 1, labels.max() + 2)
+    for name in ("excess", "minmax_sq", "truncated_pgf2"):
+        a, b = getattr(m_mu, name)(cuts), getattr(m_nu, name)(cuts)
+        floor = 1e-12 * max(np.abs(a).max(), np.abs(b).max())
+        np.testing.assert_allclose(getattr(signed, name)(cuts), a - b, rtol=1e-12, atol=floor)

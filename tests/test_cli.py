@@ -371,3 +371,23 @@ def test_verify_stiff_birth_death_has_no_failures(capsys):
     )
     assert code == 0
     assert "0 FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scale", "--families", "path", "--n", "abc"],
+        ["verify", "--family", "path", "--n", "2..x"],
+        ["gen", "--chain", '{"family":"path","n":"x"}'],
+        ["gen", "--chain", '{"family":"path","n":2.5}'],
+        ["gen", "--chain", '{"family":"path","n":true}'],
+        ["gen", "--chain", '{"family":"birth_death","n":4,"p":"0.3"}'],
+        ["gen", "--chain", '{"family":"graph","edges":[[0,1],[0,"a"]]}'],
+        ["gen", "--chain", '{"family":"graph","edges":[[0,1,2]]}'],
+        ["gen", "--chain", '{"family":"graph","edges":[[0,1],3]}'],
+    ],
+)
+def test_malformed_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")

@@ -24,6 +24,7 @@ from access_time import (
     winning_streak_hitting_formula,
 )
 from access_time import ProbabilityVector, sample_trajectory, simulate_rule, validate_chain
+from access_time import hitting
 from access_time.hitting import STATIONARY_PANEL, detailed_balance_residual
 from conftest import small_family_chains
 from oracles import fraction_hitting_matrix, fraction_stationary
@@ -275,6 +276,31 @@ def test_stationary_panels_doubly_stochastic(N, rng):
     pi = stationary_distribution(chain)
     assert detailed_balance_residual(chain, pi) > 0.1 / N  # genuinely non-reversible
     np.testing.assert_allclose(pi.weights, np.full(N, 1.0 / N), rtol=1e-12)
+
+
+def unblocked_reduction(rows):
+    """The per-state reduction: fold k = N-1 .. 1, one outer product each."""
+    A = rows.copy()
+    for k in range(A.shape[0] - 1, 0, -1):
+        A[:k, k] /= A[k, :k].sum()
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    return A
+
+
+@pytest.mark.parametrize("panel, chunk", [(3, 2), (5, 4), (7, 16)])
+def test_state_reduction_keeps_every_folded_row_and_column(panel, chunk, monkeypatch, rng):
+    monkeypatch.setattr(hitting, "STATIONARY_PANEL", panel)
+    monkeypatch.setattr(hitting, "_GEMM_ROWS", chunk)
+    for chain in (
+        build_chain(ChainSpec("path", n=40)),
+        build_chain(ChainSpec("birth_death", n=37, p=1e-12)),
+        build_chain(ChainSpec("graph", edges=random_connected_graph(41, rng, extra_edges=30))),
+        doubly_stochastic_chain(43, rng),
+    ):
+        A, ref = hitting._state_reduction(chain), unblocked_reduction(chain.rows)
+        for k in range(1, chain.size):
+            np.testing.assert_allclose(A[k, :k], ref[k, :k], rtol=1e-13)
+            np.testing.assert_allclose(A[:k, k], ref[:k, k], rtol=1e-13)
 
 
 # --- max hitting, symmetry ------------------------------------------------------

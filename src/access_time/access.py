@@ -6,7 +6,8 @@ It reduces to mean hitting times through
 
     H(mu, nu) = max_j sum_i (mu_i - nu_i) E_i[tau_j],
 
-which this module evaluates exactly from the solver, alongside the
+which this module evaluates exactly from the solver (one state reduction,
+gated on its error estimate, or the hitting matrix), alongside the
 per-family closed forms and bounds, the symmetric-walk specializations
 through t_av, and formula-versus-solver verification reports.
 
@@ -40,10 +41,14 @@ from .hitting import (
     kemeny_tav,
     max_hitting_time,
     stationary_distribution,
+    transport_scan,
 )
 
 #: a closed form counts as agreeing with the solver inside this relative band
 ERRATUM_REL_TOL = 1e-8
+#: the transport scan stands when its error estimate is within this band of
+#: the value (relative, with a unit floor); otherwise the hitting matrix answers
+SCAN_GATE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,11 +57,16 @@ class AccessResult:
 
     ``per_target[j] = sum_i (mu_i - nu_i) E_i[tau_j]`` and ``value`` is its
     maximum; ``argmax_target`` is the smallest state index attaining it.
+    ``route`` names the solver that answered: ``"scan"`` (one state
+    reduction, ``error_bound`` its absolute error estimate) or ``"matrix"``
+    (the hitting matrix, ``error_bound`` None).
     """
 
     value: float
     argmax_target: int
     per_target: np.ndarray
+    route: str = "matrix"
+    error_bound: float | None = None
 
     def __post_init__(self) -> None:
         per_target = np.asarray(self.per_target, dtype=float).copy()
@@ -126,15 +136,23 @@ def access_time(
         Source and target laws on P's state space.
     hitting : HittingTimeMatrix, optional
         Precomputed solver output, reused across many (mu, nu) pairs.
+        Without it the pair is read off ``transport_scan``, unless its
+        error estimate fails ``SCAN_GATE``; then the matrix is built.
 
     Returns
     -------
     AccessResult
-        Value, maximizing target index, per-target scores.
+        Value, maximizing target index, per-target scores and the route.
     """
     _check_pair(P, mu, nu)
-    M = hitting if hitting is not None else hitting_time_matrix(P)
-    scores = (mu.weights - nu.weights) @ M.values
+    d = mu.weights - nu.weights
+    if hitting is None:
+        scores, bound = transport_scan(P, d)
+        if bound <= SCAN_GATE * max(1.0, abs(float(scores.max()))):
+            value, argmax = argmax_smallest(scores)
+            return AccessResult(value, argmax, scores, route="scan", error_bound=bound)
+        hitting = hitting_time_matrix(P)
+    scores = d @ hitting.values
     value, argmax = argmax_smallest(scores)
     return AccessResult(value=value, argmax_target=argmax, per_target=scores)
 
@@ -253,16 +271,17 @@ def family_report(
     """The family's closed form and bounds, checked against the exact solver.
 
     The solver value is ``solver_value`` when given, else the transport
-    scan of ``hitting``; the chain is built and solved only when neither
-    is passed.  Raises for families without a closed form.
+    scan of ``hitting``; the chain is built and ``access_time`` solves it
+    only when neither is passed.  Raises for families without a closed form.
     """
     form = CLOSED_FORMS.get(spec.family)
     if form is None:
         raise ChainSpecError(f"family {spec.family!r} has no closed-form transport formula")
     _check_pair(spec.num_states, mu, nu)
-    if solver_value is None:
-        M = hitting if hitting is not None else hitting_time_matrix(build_chain(spec))
-        solver_value = ((mu.weights - nu.weights) @ M.values).max()
+    if solver_value is None and hitting is None:
+        solver_value = access_time(build_chain(spec), mu, nu).value
+    elif solver_value is None:
+        solver_value = ((mu.weights - nu.weights) @ hitting.values).max()
     solver = float(solver_value)
     fields = form(spec, mu, nu)
     discrepancy = abs(fields["exact"] - solver)

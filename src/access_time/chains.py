@@ -70,6 +70,11 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def dense_size_cap() -> int:
     """Largest state count the dense solver path will accept.
 
@@ -118,8 +123,7 @@ class ChainSpec:
                 raise ChainSpecError(f"{self.family} needs a positive size n")
             object.__setattr__(self, "n", int(self.n))
         if self.family == "birth_death":
-            real = isinstance(self.p, numbers.Real) and not isinstance(self.p, bool)
-            if not real or not (0.0 < self.p <= 0.5):
+            if not _is_real(self.p) or not (0.0 < self.p <= 0.5):
                 raise ChainSpecError("birth_death needs p in (0, 1/2]")
             object.__setattr__(self, "p", float(self.p))
         elif self.p is not None:
@@ -315,12 +319,14 @@ class DistSpec:
         if self.kind == "dirac" and self.at is None:
             raise ChainSpecError("dirac needs an 'at' state")
         if self.kind == "binomial":
-            if self.p is None or not (0.0 < self.p < 1.0):
+            if not _is_real(self.p) or not (0.0 < self.p < 1.0):
                 raise ChainSpecError("binomial needs p in (0, 1)")
             object.__setattr__(self, "p", float(self.p))
         if self.kind == "explicit":
-            if self.weights is None:
-                raise ChainSpecError("explicit needs a weights list")
+            if not isinstance(self.weights, (tuple, list)) or not all(
+                map(_is_real, self.weights)
+            ):
+                raise ChainSpecError("explicit needs a weights list of real numbers")
             object.__setattr__(self, "weights", tuple(float(x) for x in self.weights))
 
     def to_json(self) -> dict:
@@ -340,13 +346,7 @@ class DistSpec:
         extra = set(obj) - {"kind", "at", "p", "weights"}
         if extra:
             raise ChainSpecError(f"unknown distribution spec keys: {sorted(extra)}")
-        weights = obj.get("weights")
-        return cls(
-            kind=obj["kind"],
-            at=obj.get("at"),
-            p=obj.get("p"),
-            weights=tuple(weights) if weights is not None else None,
-        )
+        return cls(kind=obj["kind"], at=obj.get("at"), p=obj.get("p"), weights=obj.get("weights"))
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,7 @@ def cmd_compute(args) -> int:
     chain = build_chain(spec)
     mu = build_distribution(parse_dist_shorthand(args.mu), chain)
     nu = build_distribution(parse_dist_shorthand(args.nu), chain)
-    M = hitting_time_matrix(chain)
-    result = access_time(chain, mu, nu, hitting=M)
+    result = access_time(chain, mu, nu)
     payload = result.to_json()
     if args.closed_form:
         payload["family_report"] = family_report(spec, mu, nu, solver_value=result.value).to_json()
@@ -200,6 +199,8 @@ def cmd_verify(args) -> int:
             f"family {args.family!r} has no closed form to verify; "
             f"choose one of {CLOSED_FORM_FAMILIES}"
         )
+    if args.trials < 1:
+        raise ChainSpecError(f"--trials must be at least 1, got {args.trials}")
     ns = _parse_n_list(args.n)
     rng = np.random.default_rng(args.seed)
     rows = []

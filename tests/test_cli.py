@@ -391,3 +391,29 @@ def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_without_trials_exits_2(capsys, trials):
+    code, out, err = run_cli(capsys, "verify", "--family", "path", "--n", "3", "--trials", trials)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "explicit", "weights": ["a", 1, 1, 1]},
+        {"kind": "binomial", "p": "x"},
+        {"kind": "explicit", "weights": 5},
+    ],
+)
+def test_compute_malformed_distribution_file_exits_2(capsys, tmp_path, spec):
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(
+        capsys, "compute", "--chain", '{"family":"path","n":3}', "--mu", f"file:{path}",
+        "--nu", "uniform",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:")

@@ -42,6 +42,7 @@ from .hitting import (
     max_hitting_time,
     stationary_distribution,
     transport_scan,
+    zero_sum,
 )
 
 #: a closed form counts as agreeing with the solver inside this relative band
@@ -138,6 +139,7 @@ def access_time(
         Precomputed solver output, reused across many (mu, nu) pairs.
         Without it the pair is read off ``transport_scan``, unless its
         error estimate fails ``SCAN_GATE``; then the matrix is built.
+        Both routes evaluate mu - nu projected by ``zero_sum``.
 
     Returns
     -------
@@ -152,7 +154,7 @@ def access_time(
             value, argmax = argmax_smallest(scores)
             return AccessResult(value, argmax, scores, route="scan", error_bound=bound)
         hitting = hitting_time_matrix(P)
-    scores = d @ hitting.values
+    scores = zero_sum(d) @ hitting.values
     value, argmax = argmax_smallest(scores)
     return AccessResult(value=value, argmax_target=argmax, per_target=scores)
 
@@ -281,7 +283,7 @@ def family_report(
     if solver_value is None and hitting is None:
         solver_value = access_time(build_chain(spec), mu, nu).value
     elif solver_value is None:
-        solver_value = ((mu.weights - nu.weights) @ hitting.values).max()
+        solver_value = (zero_sum(mu.weights - nu.weights) @ hitting.values).max()
     solver = float(solver_value)
     fields = form(spec, mu, nu)
     discrepancy = abs(fields["exact"] - solver)

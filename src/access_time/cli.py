@@ -30,19 +30,11 @@ from .chains import (
     build_distribution,
     validate_chain,
 )
-from .hitting import (
-    FLOAT_FMT,
-    hitting_time_matrix,
-    hitting_time_to,
-    max_hitting_time,
-    write_table_csv,
-)
+from .hitting import FLOAT_FMT, hitting_time_matrix, hitting_time_to, write_table_csv
 from .simulate import simulate_rule
 
 CLOSED_FORM_FAMILIES = tuple(CLOSED_FORMS)
 SCALE_SCENARIOS = ("worst_dirac", "random_pair", "paper_example")
-#: extremal Dirac pairs (as state indices) used above the enumeration cutoff
-WORST_DIRAC_CUTOFF = 64
 
 SWEEP_COLUMNS = (
     "family",
@@ -234,9 +226,11 @@ def cmd_verify(args) -> int:
     return 0 if counts["FAIL"] == 0 else 1
 
 
-#: state index pairs attaining the maximal hitting time, used when the state
-#: space is too large to enumerate every Dirac pair; (0, N - 1) otherwise
-_WORST_PAIRS = {"complete": (0, 1), "star": (1, 2)}
+def _extremal_pair(family: str, N: int) -> tuple[int, int]:
+    """State indices (i, j) with E_i[tau_j] the maximal hitting time of a scale family:
+    two leaves of the star (its centre and leaf at n = 1), else the ends, which are
+    antipodes on the hypercube and one of many pairs on the complete graph."""
+    return (N - 2, N - 1) if family == "star" else (0, N - 1)
 
 
 def _scale_distributions(spec: ChainSpec, chain, scenario: str, rng):
@@ -265,29 +259,19 @@ def _scale_distributions(spec: ChainSpec, chain, scenario: str, rng):
 def _sweep_row(spec: ChainSpec, scenario: str, rng) -> dict:
     t0 = time.perf_counter()
     chain = build_chain(spec)
-    N = chain.size
     pair = _scale_distributions(spec, chain, scenario, rng)
-    M = None
-    if pair is None:  # worst_dirac
-        if N <= WORST_DIRAC_CUTOFF + 1:
-            M = hitting_time_matrix(chain)
-            max_hit, pair = max_hitting_time(chain, hitting=M)
-            H = max_hit  # max over Dirac pairs of E_i[tau_j]
-        else:
-            i_star, j_star = _WORST_PAIRS.get(spec.family, (0, N - 1))
-            column = hitting_time_to(chain, j_star)
-            H = float(column[i_star])
-            max_hit = H  # the known pair attains the maximum
-            pair = (chain.labels[i_star], chain.labels[j_star])
-        mu_v, nu_v = (build_distribution(DistSpec(kind="dirac", at=label), chain) for label in pair)
+    i, j = _extremal_pair(spec.family, chain.size)
+    max_hit = float(hitting_time_to(chain, j)[i])
+    if pair is None:  # worst_dirac: the access time of two Dirac laws is E_i[tau_j]
+        mu_v, nu_v = (build_distribution(DistSpec(kind="dirac", at=chain.labels[k]), chain)
+                      for k in (i, j))
+        H = max_hit
     else:
         mu_v, nu_v = pair
-        M = hitting_time_matrix(chain)
-        H = access_time(chain, mu_v, nu_v, hitting=M).value
-        max_hit, _ = max_hitting_time(chain, hitting=M)
+        H = access_time(chain, mu_v, nu_v).value
 
     if spec.family in CLOSED_FORM_FAMILIES:
-        report = family_report(spec, mu_v, nu_v, hitting=M, solver_value=H)
+        report = family_report(spec, mu_v, nu_v, solver_value=H)
         lower, upper = report.lower, report.upper
     else:
         lower, upper = 0.0, max_hit

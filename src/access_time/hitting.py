@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,8 @@ def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
     # A holds -p_ik, so this adds the kept off-diagonal rates to p_i,target
     np.fill_diagonal(A, P.rows[keep, target] - A.sum(axis=1))
     h = lu_solve(lu_factor(A, overwrite_a=True), np.ones(N - 1))
+    if not np.isfinite(h).all():  # an exactly zero LU pivot leaves inf and NaN
+        raise np.linalg.LinAlgError(f"singular first-step system for target {target}")
     out = np.zeros(N)
     out[keep] = h
     return out
@@ -210,17 +213,32 @@ def stationary_distribution(P: TransitionMatrix) -> ProbabilityVector:
     return _reduced_stationary(_state_reduction(P))
 
 
+def zero_sum(d: np.ndarray) -> np.ndarray:
+    """d less its correctly rounded sum s, spread as s |d_i| / sum |d|.
+
+    So d sums to 0 as far as its entries resolve, zero entries stay zero
+    and a d that already sums to exactly 0 comes back as it is.
+    """
+    s = math.fsum(d.tolist())
+    if s == 0.0:
+        return d
+    magnitude = np.abs(d)
+    return d - (s / math.fsum(magnitude.tolist())) * magnitude
+
+
 def transport_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, float]:
-    """The per-target scan d @ M of a zero-sum d, and its absolute error estimate.
+    """The per-target scan d @ M of a difference of laws, and its absolute error estimate.
 
     Reads (d @ M)_j = d.h0 - y_j / pi_j (Kemeny-Snell) off one
     ``_state_reduction``, never forming M.  Here y (I - P) = d with
-    y_0 = 0, and h0 is the hitting column to state 0.  Grounded at state
-    0, the first-step matrix L' of states 1..N-1 (diagonal = off-diagonal
-    row sum) factors as L' = U diag(s) Lo, read off the reduced array A:
-    unit upper U[i,k] = -a_ik, pivots s_k = sum_{j<k} a_kj, and unit lower
-    Lo[k,j] = -a_kj / s_k.  Then h0 = L'^-1 1, and with d split into
-    d+ = max(d, 0) and d- = max(-d, 0), y = (d+ - d-) L'^-1.
+    y_0 = 0, and h0 is the hitting column to state 0; the identity needs
+    sum(d) = 0, so d goes through ``zero_sum`` first, as on the matrix
+    route.  Grounded at state 0, the first-step matrix L' of states
+    1..N-1 (diagonal = off-diagonal row sum) factors as L' = U diag(s) Lo,
+    read off the reduced array A: unit upper U[i,k] = -a_ik, pivots
+    s_k = sum_{j<k} a_kj, and unit lower Lo[k,j] = -a_kj / s_k.  Then
+    h0 = L'^-1 1, and with d split into d+ = max(d, 0) and
+    d- = max(-d, 0), y = (d+ - d-) L'^-1.
 
     The factors are kept in A itself, with row and column 0 in place:
     a zero right-hand side at index 0 between the triangular solves keeps
@@ -228,6 +246,7 @@ def transport_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, floa
     numbers, so the only cancellation is in the final difference, and
     eps times the sum of the magnitudes that meet there bounds its error.
     """
+    d = zero_sum(d)
     A = _state_reduction(P)
     pi = _reduced_stationary(A).weights
     N = A.shape[0]

@@ -22,7 +22,6 @@ import numpy as np
 from .chains import ChainSpecError, ProbabilityVector, TransitionMatrix, tv_distance
 from .hitting import HittingTimeMatrix, _require_solvable, hitting_time_matrix
 
-RULES = ("independent_target",)
 MIN_SAMPLES = 1000
 
 
@@ -92,12 +91,11 @@ def simulate_rule(
     P: TransitionMatrix,
     mu: ProbabilityVector,
     nu: ProbabilityVector,
-    rule: str = "independent_target",
     samples: int = 100_000,
     seed: int = 0,
     hitting: HittingTimeMatrix | None = None,
 ) -> SimReport:
-    """Simulate a stopping rule transporting mu to nu and report its mean.
+    """Simulate the independent-target rule transporting mu to nu and report its mean.
 
     Parameters
     ----------
@@ -105,9 +103,6 @@ def simulate_rule(
         Irreducible chain.
     mu, nu : ProbabilityVector
         Source and target laws.
-    rule : str
-        Only ``independent_target`` is implemented: stop at tau_J with
-        J drawn from nu independently of the walk.
     samples : int
         Trajectory count, at least 1000.
     seed : int
@@ -119,8 +114,6 @@ def simulate_rule(
     -------
     SimReport
     """
-    if rule not in RULES:
-        raise ChainSpecError(f"unknown stopping rule {rule!r}; available: {RULES}")
     if samples < MIN_SAMPLES:
         raise ChainSpecError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     if mu.dim != P.size or nu.dim != P.size:

@@ -99,7 +99,7 @@ def test_simulate_rule_stopped_law_is_target():
 def test_simulate_rule_validation():
     chain = build_chain(ChainSpec("complete", n=3))
     uni = ProbabilityVector(np.full(4, 0.25))
-    with pytest.raises(ChainSpecError, match="unknown stopping rule"):
+    with pytest.raises(TypeError, match="rule"):  # one rule, so no option names it
         simulate_rule(chain, uni, uni, rule="optimal")
     with pytest.raises(ChainSpecError, match="at least"):
         simulate_rule(chain, uni, uni, samples=10)

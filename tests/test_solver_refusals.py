@@ -1,0 +1,112 @@
+"""The solver refuses a singular system loudly, and both routes read one zero-sum d.
+
+A partial-pivoted LU solve that meets an exactly zero pivot returns NaN and
+inf; ``hitting_time_to`` turns that into ``LinAlgError`` (exit code 3 on the
+command line) rather than handing it to the transport scan.  And since the
+Kemeny-Snell scan needs sum(mu - nu) = 0, ``transport_scan`` and the matrix
+route of ``access_time`` both evaluate mu - nu as projected by ``zero_sum``.
+"""
+import math
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from access_time import (
+    ProbabilityVector,
+    TransitionMatrix,
+    access,
+    access_time,
+    hitting_time_matrix,
+    hitting_time_to,
+    transport_scan,
+)
+from access_time.hitting import zero_sum
+from conftest import dirac
+from oracles import fraction_hitting_matrix
+
+
+def _chain(rates, N):
+    """Chain with off-diagonal rates ``{(i, j): p_ij}``, holding the rest."""
+    rows = np.zeros((N, N))
+    for (i, j), rate in rates.items():
+        rows[i, j] = rate
+    rows[np.arange(N), np.arange(N)] = 1.0 - rows.sum(axis=1)
+    return rows
+
+
+#: rates m * 2**-e as {(i, j): (m, e)}; LU meets an exactly zero pivot on target 3
+SINGULAR_LU = {
+    (0, 1): (50, 30), (0, 4): (177, 12), (1, 0): (88, 15), (1, 2): (193, 30),
+    (2, 0): (194, 18), (2, 1): (171, 40), (2, 3): (186, 34), (2, 4): (106, 13),
+    (3, 2): (70, 25), (3, 4): (131, 16), (4, 0): (231, 35),
+}
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_zero_pivot_is_refused_not_returned():
+    chain = TransitionMatrix(_chain({k: m * 2.0**-e for k, (m, e) in SINGULAR_LU.items()}, 5))
+    with pytest.raises(np.linalg.LinAlgError, match="target 3"):
+        hitting_time_to(chain, 3)
+    with pytest.raises(np.linalg.LinAlgError):
+        hitting_time_matrix(chain)
+    mu = ProbabilityVector([0.25, 0.25, 0.25, 0.25, 0.0])
+    nu = ProbabilityVector([0.0, 0.0, 0.0, 0.5, 0.5])
+    with mock.patch.object(access, "SCAN_GATE", 0.0), pytest.raises(np.linalg.LinAlgError):
+        access_time(chain, mu, nu)
+    # the other targets still solve, to finite positive times
+    for target in (0, 1, 2, 4):
+        h = hitting_time_to(chain, target)
+        assert np.isfinite(h).all() and (np.delete(h, target) > 0).all()
+
+
+#: a 2**-27 exit from state 0 puts hitting times near 1.3e8
+STIFF = {(0, 1): 2.0**-27, (1, 0): 0.25, (1, 2): 0.25, (2, 1): 0.125, (2, 3): 0.375,
+         (3, 1): 0.5, (3, 2): 0.0625}
+
+
+def _law(weights):
+    weights = np.asarray(weights, dtype=float)
+    return ProbabilityVector(weights / weights.sum())
+
+
+def test_stiff_chain_routes_agree_on_the_projected_difference():
+    rows = _chain(STIFF, 4)
+    chain = TransitionMatrix(rows)
+    M = hitting_time_matrix(chain)
+    E = fraction_hitting_matrix(rows)
+    rng = np.random.default_rng(7)
+    scans = 0
+    for _ in range(40):
+        mu, nu = _law(rng.integers(1, 10, 4)), _law(rng.integers(1, 10, 4))
+        d = zero_sum(mu.weights - nu.weights)
+        exact = max(sum(Fraction(d[i]) * E[i][j] for i in range(4)) for j in range(4))
+        per_target, _ = transport_scan(chain, mu.weights - nu.weights)
+        matrix = access_time(chain, mu, nu, hitting=M)
+        assert np.array_equal(matrix.per_target, d @ M.values)
+        slack = 1e-10 * np.maximum(1.0, np.abs(matrix.per_target))
+        assert np.all(np.abs(per_target - matrix.per_target) <= slack)
+        gated = access_time(chain, mu, nu)
+        if gated.route == "scan":
+            scans += 1
+            assert abs(Fraction(gated.value) - exact) <= 1e-10 * max(1, abs(exact))
+    assert scans >= 10
+
+
+def test_zero_sum_keeps_support_and_exact_differences():
+    N = 6
+    exact = dirac(0, N).weights - dirac(5, N).weights
+    assert zero_sum(exact) is exact
+    d = _law([5, 4, 9, 1]).weights - _law([9, 0, 6, 5]).weights
+    projected = zero_sum(d)
+    assert math.fsum(d) != 0.0 and math.fsum(projected) == 0.0
+    assert np.all(np.abs(projected - d) <= 4 * np.spacing(np.abs(d)))
+    thirds = _law([1, 1, 1, 0, 0]).weights - dirac(3, 5).weights
+    assert math.fsum(thirds) != 0.0
+    assert np.array_equal(zero_sum(thirds) == 0.0, thirds == 0.0)
+    rows = _chain(STIFF, 4)
+    chain = TransitionMatrix(rows)
+    # the scan projects what it is given, so it reads d and its projection alike
+    for a, b in zip(transport_scan(chain, d), transport_scan(chain, projected)):
+        assert np.array_equal(a, b)

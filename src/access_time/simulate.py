@@ -11,7 +11,11 @@ consistency check rather than a loose one.
 Randomness is counter based: one Philox stream keyed by the seed feeds a
 fixed draw lattice (two initialization rows, then one full-width row per
 step), so the trajectory of sample k is a pure function of (seed, k,
-sample count) no matter how the work is scheduled.
+sample count) no matter how the work is scheduled.  The walk reads each
+step's row raw and turns into uniforms only the entries of the samples
+still moving; those alone advance, and a sample leaves the working set
+the step it hits its target, so after the row draw the work of a step is
+proportional to the walks that have not yet stopped.
 """
 from __future__ import annotations
 
@@ -24,6 +28,13 @@ from .hitting import HittingTimeMatrix, _require_solvable, hitting_time_matrix
 
 MIN_SAMPLES = 1000
 
+#: refuse a run whose expected total walk length samples * E[T] exceeds this
+#: many steps: a stiff chain (birth_death n=4 at p = 1e-9 needs ~1e10 steps
+#: per walk) would otherwise run for days instead of failing
+MAX_EXPECTED_STEPS = 1e9
+
+_U53 = 2.0**-53  # Generator.random's double is (raw >> 11) * 2**-53
+
 
 @dataclass(frozen=True)
 class SimReport:
@@ -33,6 +44,9 @@ class SimReport:
     rule, sum_j nu_j H(mu, delta_j) from the solver; ``mean_t`` should sit
     within a few standard errors of it, and the empirical law of the
     stopped state should be close to nu in total variation.
+    ``lattice_rows`` and ``useful_steps`` describe the kernel's work and
+    stay out of the JSON report: ``useful_steps / (lattice_rows *
+    samples)`` is the share of drawn uniforms that moved a walk.
     """
 
     samples: int
@@ -41,6 +55,8 @@ class SimReport:
     empirical_law: ProbabilityVector
     tv_to_target: float
     theoretical_mean: float
+    lattice_rows: int = 0  # step rows drawn: the longest walk
+    useful_steps: int = 0  # sum of the step counts
 
     @property
     def consistent(self) -> bool:
@@ -113,6 +129,13 @@ def simulate_rule(
     Returns
     -------
     SimReport
+
+    Raises
+    ------
+    ChainSpecError
+        Fewer than ``MIN_SAMPLES`` samples, laws off the state space, or an
+        expected total of ``samples * theoretical_mean`` steps above
+        ``MAX_EXPECTED_STEPS``.
     """
     if samples < MIN_SAMPLES:
         raise ChainSpecError(f"need at least {MIN_SAMPLES} samples, got {samples}")
@@ -122,25 +145,37 @@ def simulate_rule(
 
     M = hitting if hitting is not None else hitting_time_matrix(P)
     theoretical = float(mu.weights @ M.values @ nu.weights)
+    if not samples * theoretical <= MAX_EXPECTED_STEPS:  # a NaN mean is refused too
+        raise ChainSpecError(
+            f"{samples} walks of mean length {theoretical:.3g} exceed "
+            f"{MAX_EXPECTED_STEPS:.0e} expected steps"
+        )
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    bits = np.random.Philox(key=seed)
+    rng = np.random.Generator(bits)
     current = np.searchsorted(_cumulative(mu.weights), rng.random(samples), side="right")
     targets = np.searchsorted(_cumulative(nu.weights), rng.random(samples), side="right")
-    C = _cumulative(P.rows)
+    bins = np.ascontiguousarray(_cumulative(P.rows).T)  # bins[j, i] = C[i, j]
 
     steps = np.zeros(samples, dtype=np.int64)
-    active = current != targets
-    while active.any():
-        u = rng.random(samples)  # full-width row keeps the lattice fixed
-        rows = C[current[active]]
-        moved = (rows <= u[active, None]).sum(axis=1)  # searchsorted, side right
-        current[active] = moved
-        steps[active] += 1
-        active = current != targets
+    idx = np.flatnonzero(current != targets)  # the samples still moving
+    cur, tgt = current[idx], targets[idx]
+    t = 0
+    while idx.size:
+        raw = bits.random_raw(samples)  # the full lattice row keeps the stream fixed
+        t += 1
+        u = (raw[idx] >> 11) * _U53  # what rng.random(samples)[idx] would hold
+        cur = (bins.take(cur, axis=1) <= u).sum(axis=0)  # searchsorted, side right
+        hit = cur == tgt
+        if hit.any():
+            steps[idx[hit]] = t
+            moving = ~hit
+            idx, cur, tgt = idx[moving], cur[moving], tgt[moving]
 
     mean_t = float(steps.mean())
     stderr = float(steps.std(ddof=1) / np.sqrt(samples))
-    counts = np.bincount(current, minlength=P.size).astype(float)
+    # every walk stopped on its own target
+    counts = np.bincount(targets, minlength=P.size).astype(float)
     empirical = ProbabilityVector(counts)
     return SimReport(
         samples=samples,
@@ -149,4 +184,6 @@ def simulate_rule(
         empirical_law=empirical,
         tv_to_target=tv_distance(empirical, nu),
         theoretical_mean=theoretical,
+        lattice_rows=t,
+        useful_steps=int(steps.sum()),
     )

@@ -3,8 +3,9 @@
 Expected values are recomputed here through routes the library never
 takes: exact rational Gaussian elimination for hitting times and
 stationary laws, plain Python scans for transport values, a distance
-chain recursion for the hypercube, convolution for binomial weights, and
-boolean matrix powers for the period.
+chain recursion for the hypercube, convolution for binomial weights,
+boolean matrix powers for the period, and the full-width Monte Carlo loop
+that advances every sample on every step.
 """
 from fractions import Fraction
 from math import gcd
@@ -114,3 +115,33 @@ def return_time_period(rows):
         if reach[0, 0]:
             g = gcd(g, t)
     return g
+
+
+def _cumulative(weights):
+    C = np.cumsum(weights, axis=-1)
+    C[..., -1] = 1.0
+    return C
+
+
+def full_width_walks(transition_rows, mu, nu, samples, seed):
+    """Step counts and stopped states of the independent-target rule, the slow way.
+
+    Every step draws the full lattice row with ``Generator.random`` and
+    masks the whole sample width, until the slowest walk ends; the
+    compacted kernel must reproduce both arrays exactly.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    current = np.searchsorted(_cumulative(mu), rng.random(samples), side="right")
+    targets = np.searchsorted(_cumulative(nu), rng.random(samples), side="right")
+    C = _cumulative(np.asarray(transition_rows, dtype=float))
+
+    steps = np.zeros(samples, dtype=np.int64)
+    active = current != targets
+    while active.any():
+        u = rng.random(samples)  # full-width row keeps the lattice fixed
+        rows = C[current[active]]
+        moved = (rows <= u[active, None]).sum(axis=1)  # searchsorted, side right
+        current[active] = moved
+        steps[active] += 1
+        active = current != targets
+    return steps, current

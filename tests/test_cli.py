@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -346,6 +347,18 @@ def test_simulate_cli_rejects_small_sample(capsys):
         "--nu", "uniform", "--samples", "10",
     )
     assert code == 2 and "at least" in err
+
+
+def test_simulate_cli_refuses_hopeless_run_at_once(capsys):
+    # about 1e10 expected steps per walk: the run would never finish
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "simulate", "--chain", '{"family":"birth_death","n":4,"p":1e-9}',
+        "--mu", "dirac:0", "--nu", "dirac:4", "--samples", "1000", "--seed", "1",
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "expected steps" in err
 
 
 # --- console entry point -------------------------------------------------------------------

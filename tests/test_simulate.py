@@ -12,6 +12,7 @@ from access_time import (
     tv_distance,
 )
 from conftest import dirac
+from oracles import full_width_walks
 
 
 def test_tv_examples():
@@ -63,6 +64,7 @@ def test_simulate_rule_fixed_point_stops_immediately():
     chain = build_chain(ChainSpec("star", n=4))
     report = simulate_rule(chain, dirac(0, 5), dirac(0, 5), samples=2_000, seed=3)
     assert report.mean_t == 0.0 and report.stderr == 0.0
+    assert report.lattice_rows == 0 and report.useful_steps == 0
     assert report.theoretical_mean == 0.0
     assert report.consistent
     np.testing.assert_array_equal(report.empirical_law.weights, dirac(0, 5).weights)
@@ -181,3 +183,42 @@ def test_trajectory_refuses_out_of_range_states():
         sample_trajectory(chain, 0, 4, seed=0)
     with pytest.raises(ChainSpecError, match="out of range"):
         sample_trajectory(chain, -1, 2, seed=0)
+
+
+# --- the compacted kernel against the full-width loop ----------------------------------
+
+
+def assert_matches_full_width(chain, mu, nu, samples, seed):
+    report = simulate_rule(chain, mu, nu, samples=samples, seed=seed)
+    steps, stopped = full_width_walks(chain.rows, mu.weights, nu.weights, samples, seed)
+    assert report.mean_t == float(steps.mean())
+    assert report.stderr == float(steps.std(ddof=1) / np.sqrt(samples))
+    counts = np.bincount(stopped, minlength=chain.size)
+    law = ProbabilityVector(counts.astype(float)).weights
+    np.testing.assert_array_equal(report.empirical_law.weights, law)
+    np.testing.assert_array_equal(np.rint(report.empirical_law.weights * samples), counts)
+    assert report.useful_steps == int(steps.sum()) == round(report.mean_t * samples)
+    assert report.lattice_rows == int(steps.max())
+    return report
+
+
+ORACLE_SPECS = [
+    ChainSpec("path", n=6),
+    ChainSpec("star", n=5),
+    ChainSpec("complete", n=4),
+    ChainSpec("winning_streak", n=5),
+    ChainSpec("birth_death", n=6, p=0.3),
+    ChainSpec("hypercube", n=3),
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.family)
+@pytest.mark.parametrize("seed, samples", [(0, 1_000), (2**31 - 1, 5_000), (987654321, 3_001)])
+def test_kernel_matches_full_width_loop(spec, seed, samples):
+    chain = build_chain(spec)
+    N = chain.size
+    # nu is uniform, so 1/N of the walks start on their target
+    mu = ProbabilityVector(np.arange(1.0, N + 1.0))
+    nu = ProbabilityVector(np.ones(N))
+    report = assert_matches_full_width(chain, mu, nu, samples, seed)
+    assert 0 < report.useful_steps < report.lattice_rows * samples

@@ -200,7 +200,8 @@ class TransitionMatrix:
     Irreducibility is not enforced here (``validate_chain`` can diagnose a
     reducible matrix), but every generated family is irreducible and the
     solver operations refuse reducible chains.  The strong-component count
-    behind both is computed once per chain, on first use.
+    behind both is computed once per chain, on first use, from the same
+    sparsity pattern that gives the chain's ``bandwidth``.
     """
 
     rows: np.ndarray
@@ -239,10 +240,24 @@ class TransitionMatrix:
         return self.spec.family if self.spec is not None else None
 
     @cached_property
+    def _transition_graph(self) -> csr_matrix:
+        """The pattern p_ij > 0 as a sparse matrix, the one sparsity pass per chain."""
+        return csr_matrix(self.rows > 0)
+
+    @cached_property
     def strong_components(self) -> int:
         """Number of strongly connected components of the transition graph."""
-        n_comp, _ = connected_components(csr_matrix(self.rows > 0), connection="strong")
+        n_comp, _ = connected_components(self._transition_graph, connection="strong")
         return int(n_comp)
+
+    @cached_property
+    def bandwidth(self) -> tuple[int, int]:
+        """Off-diagonal bandwidth (l, u): the farthest one step reaches below
+        and above the diagonal, max(i - j) and max(j - i) over p_ij > 0."""
+        graph = self._transition_graph
+        sources = np.repeat(np.arange(self.size), np.diff(graph.indptr))
+        offsets = graph.indices - sources
+        return -int(offsets.min(initial=0)), int(offsets.max(initial=0))
 
     def integer_labels(self) -> np.ndarray:
         """Labels as an integer array; rejects bit-string labelled chains."""

@@ -8,9 +8,12 @@ target j the column (E_i[tau_j])_i solves the first-step system
 which reads, like the stationary reduction, only the off-diagonal rates:
 the diagonal is the row's off-diagonal sum, never 1 - p_ii, so a chain
 that mostly holds in place loses no digits to cancellation.  Each target
-is factored densely with partial-pivoted LU once the chain has said it
-is irreducible, a verdict it computes once and keeps.  Desk-scale by
-design; the state-count ceiling is ``chains.dense_size_cap()``.
+is solved with partial-pivoted LU once the chain has said it is
+irreducible, a verdict it computes once and keeps: in band storage when
+the chain's bandwidth (l, u) has 2 (l + u) < N, in O(N l (l + u)), and
+densely otherwise, in O(N^3).  The path and birth-death chains are
+tridiagonal, so each of their columns costs O(N).  Desk-scale by design;
+the state-count ceiling is ``chains.dense_size_cap()``.
 
 A single transport scan needs no matrix.  For d = mu - nu, which sums to
 0, the Kemeny-Snell identity reads (d @ M)_j = d.h0 - y_j / pi_j, with
@@ -30,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, solve_triangular
+from scipy.linalg import lu_factor, lu_solve, solve_banded, solve_triangular
 
 from .chains import (
     ChainSpecError,
@@ -110,6 +113,17 @@ def argmax_smallest(scores: np.ndarray) -> tuple[float, int]:
 def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
     """Mean hitting times of one target state from every start.
 
+    A chain whose steps stay within l states below and u above the
+    diagonal (``P.bandwidth``) is solved in band storage when
+    2 (l + u) < N, in O(N l (l + u)); every other chain is factored
+    densely with partial-pivoted LU, in O(N^3).  The rule is the crossover
+    measured on random banded chains with one BLAS thread: at N = 256,
+    l = u = 32 took 0.56 ms banded against 1.30 ms dense, l = u = 63 tied
+    (1.35 against 1.38 ms) and l = u = 80 lost (1.99 against 1.50 ms).  At
+    N = 1024 the band still won at l + u = 900 (37 against 44 ms), so
+    there the rule errs towards the dense route.  The path and birth-death
+    chains are tridiagonal, so their columns cost O(N).
+
     Parameters
     ----------
     P : TransitionMatrix
@@ -126,6 +140,60 @@ def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
     N = P.size
     if not 0 <= target < N:
         raise ChainSpecError(f"target index {target} out of range for {N} states")
+    lower, upper = P.bandwidth
+    if 2 * (lower + upper) < N:
+        h = _banded_column(P, target, lower, upper)
+    else:
+        h = _dense_column(P, target)
+    if not np.isfinite(h).all():  # a dense LU's exactly zero pivot leaves inf and NaN
+        raise _singular(target)
+    return h
+
+
+def _singular(target: int) -> np.linalg.LinAlgError:
+    return np.linalg.LinAlgError(f"singular first-step system for target {target}")
+
+
+def _banded_column(P: TransitionMatrix, target: int, lower: int, upper: int) -> np.ndarray:
+    """The first-step system of all N states in LAPACK band storage.
+
+    Built from the l + u off-diagonals of P alone, never the dense
+    array: ab[u + i - k, k] holds -p_ik and the diagonal row the sum of
+    row i's off-diagonal rates.  The target's row is pinned to h = 0,
+    which keeps the band where deleting its row and column would shift
+    every index past the target; its column then multiplies a zero.
+    """
+    N = P.size
+    ab = np.zeros((lower + upper + 1, N))
+    diagonal = ab[upper]
+    for k in range(-lower, upper + 1):
+        if k == 0:
+            continue
+        step = np.diagonal(P.rows, k)  # p_{i,i+k}
+        if k > 0:
+            ab[upper - k, k:] = -step
+            diagonal[: N - k] += step
+        else:
+            ab[upper - k, : N + k] = -step
+            diagonal[-k:] += step
+    for k in range(max(-lower, -target), min(upper, N - 1 - target) + 1):
+        ab[upper - k, target + k] = 0.0
+    ab[upper, target] = 1.0
+    rhs = np.ones(N)
+    rhs[target] = 0.0
+    try:
+        h = solve_banded(
+            (lower, upper), ab, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False
+        )
+    except np.linalg.LinAlgError as exc:  # an exactly zero pivot
+        raise _singular(target) from exc
+    h[target] = 0.0
+    return h
+
+
+def _dense_column(P: TransitionMatrix, target: int) -> np.ndarray:
+    """The first-step system without the target's row and column, LU-factored densely."""
+    N = P.size
     keep = np.r_[0:target, target + 1 : N]
     # gathered through P.rows.T, A is Fortran-ordered, so LAPACK factors it in place
     A = P.rows.T[np.ix_(keep, keep)].T
@@ -134,15 +202,13 @@ def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
     # A holds -p_ik, so this adds the kept off-diagonal rates to p_i,target
     np.fill_diagonal(A, P.rows[keep, target] - A.sum(axis=1))
     h = lu_solve(lu_factor(A, overwrite_a=True), np.ones(N - 1))
-    if not np.isfinite(h).all():  # an exactly zero LU pivot leaves inf and NaN
-        raise np.linalg.LinAlgError(f"singular first-step system for target {target}")
     out = np.zeros(N)
     out[keep] = h
     return out
 
 
 def hitting_time_matrix(P: TransitionMatrix) -> HittingTimeMatrix:
-    """All-pairs mean hitting times, one LU-factored column solve per target."""
+    """All-pairs mean hitting times, one ``hitting_time_to`` column per target."""
     _require_solvable(P)
     N = P.size
     values = np.empty((N, N))

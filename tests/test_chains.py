@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from access_time import (
     ChainSpec,
@@ -173,6 +174,59 @@ def test_immutability():
     vec = ProbabilityVector(np.ones(4))
     with pytest.raises(ValueError):
         vec.weights[0] = 2.0
+
+
+# --- bandwidth -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ChainSpec("path", n=1), ChainSpec("path", n=30), ChainSpec("birth_death", n=30, p=0.2)],
+    ids=lambda s: f"{s.family}-{s.n}",
+)
+def test_tridiagonal_families_have_bandwidth_one(spec):
+    assert build_chain(spec).bandwidth == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "spec, bandwidth",
+    [
+        (ChainSpec("star", n=12), (12, 12)),
+        (ChainSpec("complete", n=12), (12, 12)),
+        (ChainSpec("winning_streak", n=12), (11, 1)),  # every state resets to state 1
+        (ChainSpec("hypercube", n=4), (8, 8)),
+    ],
+    ids=["star", "complete", "winning_streak", "hypercube"],
+)
+def test_wide_families_are_dense_routed(spec, bandwidth):
+    chain = build_chain(spec)
+    assert chain.bandwidth == bandwidth
+    assert 2 * sum(bandwidth) >= chain.size
+
+
+def test_bandwidth_of_hand_made_chains():
+    graph = build_chain(ChainSpec("graph", edges=[(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)]))
+    assert graph.bandwidth == (3, 3)
+    cycle = np.zeros((4, 4))
+    cycle[0, 1] = cycle[1, 2] = cycle[2, 3] = 1.0
+    cycle[3, 0] = 0.5
+    cycle[3, 3] = 0.5  # holding never widens the band
+    assert TransitionMatrix(cycle).bandwidth == (3, 1)
+    assert TransitionMatrix(np.ones((1, 1))).bandwidth == (0, 0)
+
+
+def test_one_sparsity_pass_serves_scc_and_bandwidth(monkeypatch):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return csr_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(chains, "csr_matrix", counting)
+    chain = build_chain(ChainSpec("path", n=6))
+    assert chain.strong_components == 1 and chain.bandwidth == (1, 1)
+    assert chain.bandwidth == (1, 1) and chain.strong_components == 1
+    assert len(built) == 1
 
 
 # --- distributions ----------------------------------------------------------

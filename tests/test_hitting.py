@@ -1,7 +1,10 @@
 import csv
+import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from access_time import (
     ChainSpec,
@@ -25,6 +28,7 @@ from access_time import (
 )
 from access_time import ProbabilityVector, sample_trajectory, simulate_rule, validate_chain
 from access_time import hitting
+from access_time.cli import main
 from access_time.hitting import STATIONARY_PANEL, detailed_balance_residual
 from conftest import small_family_chains
 from oracles import fraction_hitting_matrix, fraction_stationary
@@ -32,6 +36,14 @@ from oracles import fraction_hitting_matrix, fraction_stationary
 
 def rel_close(a, b, tol=1e-9):
     return abs(a - b) <= tol * max(1.0, abs(b))
+
+
+EPS = np.finfo(float).eps
+
+
+def on_banded_route(chain):
+    lower, upper = chain.bandwidth
+    return 2 * (lower + upper) < chain.size
 
 
 # --- solver correctness ------------------------------------------------------
@@ -103,11 +115,14 @@ def test_hitting_column_matches_matrix():
 # --- closed-form lemmas vs solver --------------------------------------------
 
 
-@pytest.mark.parametrize("n", [2, 5, 12, 30])
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 30, 40, 256, 1024])
 def test_path_lemma_both_branches(n):
-    M = hitting_time_matrix(build_chain(ChainSpec("path", n=n)))
+    chain = build_chain(ChainSpec("path", n=n))
+    assert on_banded_route(chain) == (n >= 4)
+    M = hitting_time_matrix(chain)
     F = path_hitting_formula(n)
-    assert np.abs(M.values - F).max() <= 1e-9 * max(1.0, F.max())
+    # entrywise: the path at n = 1024 is 1.3e-12 off on either route
+    assert np.all(np.abs(M.values - F) <= 16 * (n + 1) * EPS * np.maximum(1.0, F))
 
 
 @pytest.mark.parametrize("n", [2, 5, 12, 30])
@@ -460,3 +475,72 @@ def test_reducible_chain_refused_by_every_solve():
         simulate_rule(chain, uniform, uniform, samples=1_000)
     with pytest.raises(ReducibleChainError):
         sample_trajectory(chain, 2, 0, seed=0)
+
+
+# --- banded first-step solves ----------------------------------------------------
+
+
+def dense_reference_column(P, target):
+    """The dense first-step solve, verbatim: the dense route must match it bit for bit."""
+    N = P.size
+    keep = np.r_[0:target, target + 1 : N]
+    A = P.rows.T[np.ix_(keep, keep)].T
+    np.negative(A, out=A)
+    np.fill_diagonal(A, 0.0)
+    np.fill_diagonal(A, P.rows[keep, target] - A.sum(axis=1))
+    h = lu_solve(lu_factor(A, overwrite_a=True), np.ones(N - 1))
+    out = np.zeros(N)
+    out[keep] = h
+    return out
+
+
+@pytest.mark.parametrize("p", [0.5, 0.2, 1e-12])
+@pytest.mark.parametrize("n", [3, 40, 300])
+def test_birth_death_mirror_lemma_at_every_target(n, p):
+    chain = build_chain(ChainSpec("birth_death", n=n, p=p))
+    assert on_banded_route(chain) == (n >= 4)
+    M = hitting_time_matrix(chain).values
+    F = birth_death_hitting_formula(n, p, "mirror")
+    assert np.all(np.abs(M - F) <= 16 * (n + 1) * EPS * np.maximum(1.0, F))
+
+
+@pytest.mark.parametrize("reach", [2, 3])
+def test_banded_graph_matches_dense_route(reach):
+    N = 40
+    edges = [(i, i + 1) for i in range(N - 1)] + [(i, i + reach) for i in range(0, N - reach, 3)]
+    chain = build_chain(ChainSpec("graph", edges=edges))
+    assert chain.bandwidth == (reach, reach) and on_banded_route(chain)
+    for target in range(N):
+        banded = hitting_time_to(chain, target)
+        assert banded[target] == 0.0
+        np.testing.assert_allclose(banded, dense_reference_column(chain, target), rtol=1e-12)
+
+
+def test_banded_chains_never_factor_densely(capsys, tmp_path):
+    refuse = mock.Mock(side_effect=AssertionError("dense LU on a banded chain"))
+    with mock.patch.object(hitting, "lu_factor", refuse):
+        assert main(["bounds", "--chain", '{"family":"path","n":512}']) == 0
+        assert json.loads(capsys.readouterr().out)["argmax_pair"] == [0, 512]
+        out = tmp_path / "sweep.csv"
+        code = main(["scale", "--families", "birth_death", "--n", "1024", "--p", "0.3",
+                     "--out", str(out)])
+        assert code == 0
+    assert not refuse.called
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["max_hitting"]) == pytest.approx(1024 * 1025 / 0.6, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ChainSpec("star", n=20), ChainSpec("complete", n=20), ChainSpec("hypercube", n=4)],
+    ids=lambda s: s.family,
+)
+def test_wide_chains_keep_the_dense_route_bit_for_bit(spec):
+    chain = build_chain(spec)
+    assert not on_banded_route(chain)
+    with mock.patch.object(hitting, "lu_factor", wraps=hitting.lu_factor) as factor:
+        M = hitting_time_matrix(chain).values
+    assert factor.call_count == chain.size
+    for target in range(chain.size):
+        np.testing.assert_array_equal(M[:, target], dense_reference_column(chain, target))

@@ -1,8 +1,9 @@
 """The solver refuses a singular system loudly, and both routes read one zero-sum d.
 
-A partial-pivoted LU solve that meets an exactly zero pivot returns NaN and
-inf; ``hitting_time_to`` turns that into ``LinAlgError`` (exit code 3 on the
-command line) rather than handing it to the transport scan.  And since the
+A dense partial-pivoted LU solve that meets an exactly zero pivot returns
+NaN and inf, and the banded solve raises; ``hitting_time_to`` turns both into
+one ``LinAlgError`` naming the target (exit code 3 on the command line)
+rather than handing a bad column to the transport scan.  And since the
 Kemeny-Snell scan needs sum(mu - nu) = 0, ``transport_scan`` and the matrix
 route of ``access_time`` both evaluate mu - nu as projected by ``zero_sum``.
 """
@@ -18,6 +19,7 @@ from access_time import (
     TransitionMatrix,
     access,
     access_time,
+    hitting,
     hitting_time_matrix,
     hitting_time_to,
     transport_scan,
@@ -59,6 +61,33 @@ def test_zero_pivot_is_refused_not_returned():
     for target in (0, 1, 2, 4):
         h = hitting_time_to(chain, target)
         assert np.isfinite(h).all() and (np.delete(h, target) > 0).all()
+
+
+#: a tridiagonal chain as {(i, j): e} for the rate 2**-e: the banded solve
+#: meets an exactly zero pivot on target 0, as the dense LU does
+SINGULAR_BANDED = {
+    (0, 1): 11, (1, 0): 11, (1, 2): 11, (2, 1): 28, (2, 3): 10, (3, 2): 44,
+    (3, 4): 10, (4, 3): 11,
+}
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_banded_zero_pivot_is_refused_not_returned():
+    chain = TransitionMatrix(_chain({k: 2.0**-e for k, e in SINGULAR_BANDED.items()}, 5))
+    assert chain.bandwidth == (1, 1)
+    with pytest.raises(np.linalg.LinAlgError, match="target 0"):
+        hitting_time_to(chain, 0)
+    assert not np.isfinite(hitting._dense_column(chain, 0)).all()
+    for target in range(1, 5):
+        h = hitting_time_to(chain, target)
+        assert np.isfinite(h).all() and (np.delete(h, target) > 0).all()
+    # a banded solve that overflows is refused as well
+    overflow = mock.Mock(return_value=np.full(5, np.inf))
+    with mock.patch.object(hitting, "solve_banded", overflow), pytest.raises(
+        np.linalg.LinAlgError, match="target 2"
+    ):
+        hitting_time_to(chain, 2)
+    assert overflow.called
 
 
 #: a 2**-27 exit from state 0 puts hitting times near 1.3e8

@@ -79,7 +79,12 @@ def dense_size_cap() -> int:
     """Largest state count the dense solver path will accept.
 
     Defaults to 4096; override with the ``ACCESS_TIME_MAX_N`` environment
-    variable.
+    variable.  The full hitting matrix at N = 1024 (one BLAS thread):
+    hypercube d=10 passes the certificate on every column of the
+    one-reduction route and takes about 0.35 s; the complete graph
+    n=1023 fails it on every column (bounds 4.7e-10 to 4.8e-10 against
+    ``hitting.CERT_GATE`` = 1e-10, from the rounding term alone), so it
+    costs the per-target LU loop, about 43 s.
     """
     raw = os.environ.get(SIZE_CAP_ENV)
     if raw is None:

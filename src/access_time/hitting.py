@@ -7,23 +7,35 @@ target j the column (E_i[tau_j])_i solves the first-step system
 
 which reads, like the stationary reduction, only the off-diagonal rates:
 the diagonal is the row's off-diagonal sum, never 1 - p_ii, so a chain
-that mostly holds in place loses no digits to cancellation.  Each target
-is solved with partial-pivoted LU once the chain has said it is
-irreducible, a verdict it computes once and keeps: in band storage when
-the chain's bandwidth (l, u) has 2 (l + u) < N, in O(N l (l + u)), and
-densely otherwise, in O(N^3).  The path and birth-death chains are
-tridiagonal, so each of their columns costs O(N).  Desk-scale by design;
-the state-count ceiling is ``chains.dense_size_cap()``.
+that mostly holds in place loses no digits to cancellation.  One target
+(``hitting_time_to``) is solved with partial-pivoted LU once the chain
+has said it is irreducible, a verdict it computes once and keeps: in
+band storage when the chain's bandwidth (l, u) has 2 (l + u) < N, in
+O(N l (l + u)), and densely otherwise, in O(N^3).  The path and
+birth-death chains are tridiagonal, so each of their columns costs
+O(N).  Desk-scale by design; the state-count ceiling is
+``chains.dense_size_cap()``.
 
-A single transport scan needs no matrix.  For d = mu - nu, which sums to
-0, the Kemeny-Snell identity reads (d @ M)_j = d.h0 - y_j / pi_j, with
-y (I - P) = d, y_0 = 0 and h0 the hitting column to state 0.  The
-blocked state reduction behind ``stationary_distribution`` factors the
-first-step system grounded at state 0, so ``transport_scan`` gets pi,
-h0 and y from one O(N^3) reduction and four triangular solves, with an
-estimate of its own rounding error.  ``access.access_time`` keeps that
-scan when the estimate passes ``access.SCAN_GATE`` and falls back to
-``hitting_time_matrix`` otherwise.
+The blocked state reduction behind ``stationary_distribution`` also
+factors the first-step system grounded at state 0, L' = U diag(s) Lo
+(``_grounded_factors``), and two routes read those factors:
+
+- ``transport_scan``: for d = mu - nu, which sums to 0, the Kemeny-Snell
+  identity reads (d @ M)_j = d.h0 - y_j / pi_j, with y (I - P) = d,
+  y_0 = 0 and h0 the hitting column to state 0; four triangular solves
+  give it, with an estimate of its own rounding error.
+  ``access.access_time`` keeps that scan when the estimate passes
+  ``access.SCAN_GATE`` and falls back to ``hitting_time_matrix``
+  otherwise.
+- ``hitting_time_matrix`` off the banded route: G = L'^-1 from two
+  triangular solves with N right-hand sides, then
+  M_ij = (G_jj - G_ij) / pi_j + h0_i - h0_j, O(N^3) in all.  Each
+  column j is certified by its first-step residual: L_j is an M-matrix,
+  so b_j = max_i |1 - (L M)_ij| plus the rounding of that residual
+  bounds the relative error of every entry, |M' - M| <= b_j M, read off
+  two GEMMs.  A column with b_j > ``CERT_GATE`` is solved again per
+  target; the table keeps every b_j as ``column_bound``.  Banded chains
+  keep the per-target loop, which is cheaper there.
 """
 from __future__ import annotations
 
@@ -53,6 +65,13 @@ FLOAT_FMT = "%.17g"
 STATIONARY_PANEL = 64
 #: rows per chunk of the panel's GEMM update, which bounds its temporary
 _GEMM_ROWS = 256
+#: a column of the one-reduction hitting matrix whose certificate exceeds
+#: this is solved again per target; a decade inside the 1e-9 tolerance of
+#: the closed-form checks, where 1e-12 would refuse every column of the
+#: complete graph at N = 129 on rounding alone
+CERT_GATE = 1e-10
+
+EPS = np.finfo(float).eps
 
 
 def _require_solvable(P: TransitionMatrix) -> None:
@@ -70,16 +89,28 @@ class HittingTimeMatrix:
 
     The diagonal is exactly zero (the hitting time of the start state is 0)
     and every off-diagonal entry of an irreducible chain is positive.
+
+    ``column_bound[j]``, when present, is the first-step residual
+    certificate of column j: every entry satisfies
+    |values[i, j] - E_i[tau_j]| <= column_bound[j] E_i[tau_j].
+    ``hitting_time_matrix`` sets it off the banded route; it is None for
+    a banded chain's table and for one built by hand, and no command
+    prints it.
     """
 
     values: np.ndarray
     labels: tuple
+    column_bound: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float).copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", tuple(self.labels))
+        if self.column_bound is not None:
+            bound = np.asarray(self.column_bound, dtype=float).copy()
+            bound.setflags(write=False)
+            object.__setattr__(self, "column_bound", bound)
 
     @property
     def size(self) -> int:
@@ -140,14 +171,19 @@ def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
     N = P.size
     if not 0 <= target < N:
         raise ChainSpecError(f"target index {target} out of range for {N} states")
-    lower, upper = P.bandwidth
-    if 2 * (lower + upper) < N:
-        h = _banded_column(P, target, lower, upper)
+    if _is_banded(P):
+        h = _banded_column(P, target, *P.bandwidth)
     else:
         h = _dense_column(P, target)
     if not np.isfinite(h).all():  # a dense LU's exactly zero pivot leaves inf and NaN
         raise _singular(target)
     return h
+
+
+def _is_banded(P: TransitionMatrix) -> bool:
+    """Whether P's first-step systems go to band storage: 2 (l + u) < N."""
+    lower, upper = P.bandwidth
+    return 2 * (lower + upper) < P.size
 
 
 def _singular(target: int) -> np.linalg.LinAlgError:
@@ -208,13 +244,33 @@ def _dense_column(P: TransitionMatrix, target: int) -> np.ndarray:
 
 
 def hitting_time_matrix(P: TransitionMatrix) -> HittingTimeMatrix:
-    """All-pairs mean hitting times, one ``hitting_time_to`` column per target."""
+    """All-pairs mean hitting times; off the banded route, each column certified.
+
+    A chain on the banded route (2 (l + u) < N, see ``hitting_time_to``)
+    is solved one ``hitting_time_to`` column per target, O(N^2 (l + u))
+    in all, and its table carries no ``column_bound``.  Every other chain
+    takes ``_grounded_matrix``, O(N^3) from one state reduction, and
+    ``_column_bounds`` certifies each column j with a relative error
+    bound b_j.  A column with b_j > ``CERT_GATE``, or with a non-finite
+    entry, is solved again by ``hitting_time_to`` and certified again,
+    so it is exactly the per-target column; its bound is kept whether or
+    not it now passes the gate.
+    """
     _require_solvable(P)
     N = P.size
-    values = np.empty((N, N))
-    for j in range(N):
+    if _is_banded(P):
+        values = np.empty((N, N))
+        for j in range(N):
+            values[:, j] = hitting_time_to(P, j)
+        return HittingTimeMatrix(values=values, labels=P.labels)
+    values = _grounded_matrix(P)
+    L = _first_step_matrix(P)
+    bound = _column_bounds(L, values, np.arange(N))
+    refused = np.flatnonzero(~(bound <= CERT_GATE))  # a NaN bound compares false
+    for j in refused:
         values[:, j] = hitting_time_to(P, j)
-    return HittingTimeMatrix(values=values, labels=P.labels)
+    bound[refused] = _column_bounds(L, values[:, refused], refused)
+    return HittingTimeMatrix(values=values, labels=P.labels, column_bound=bound)
 
 
 def _state_reduction(P: TransitionMatrix) -> np.ndarray:
@@ -292,6 +348,35 @@ def zero_sum(d: np.ndarray) -> np.ndarray:
     return d - (s / math.fsum(magnitude.tolist())) * magnitude
 
 
+def _grounded_factors(P: TransitionMatrix) -> tuple[functools.partial, np.ndarray, np.ndarray]:
+    """The first-step matrix grounded at state 0, factored by one state reduction, and pi.
+
+    Grounded at state 0, the first-step matrix L' of states 1..N-1
+    (diagonal = off-diagonal row sum) factors as L' = U diag(s) Lo, read
+    off the reduced array A of ``_state_reduction``: unit upper
+    U[i,k] = -a_ik, pivots s_k = sum_{j<k} a_kj, and unit lower
+    Lo[k,j] = -a_kj / s_k.  The factors are kept in A itself, with row
+    and column 0 in place: a zero right-hand side at index 0 between the
+    triangular solves keeps state 0 out of the answer.  Every entry of
+    U^-1 and Lo^-1 is a sum of products of non-negative numbers, so the
+    solves never subtract.
+
+    Returns ``(solve, s, pi)``: ``solve(b, lower=..., trans=...)`` is a
+    unit triangular solve against U (upper) or Lo (lower), and s[0] = 1
+    is never read.
+    """
+    A = _state_reduction(P)
+    pi = _reduced_stationary(A).weights
+    N = A.shape[0]
+    s = np.ones(N)
+    for k in range(1, N):
+        s[k] = A[k, :k].sum()
+        A[k, :k] /= s[k]
+    np.negative(A, out=A)
+    solve = functools.partial(solve_triangular, A, unit_diagonal=True, check_finite=False)
+    return solve, s, pi
+
+
 def transport_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, float]:
     """The per-target scan d @ M of a difference of laws, and its absolute error estimate.
 
@@ -299,29 +384,17 @@ def transport_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, floa
     ``_state_reduction``, never forming M.  Here y (I - P) = d with
     y_0 = 0, and h0 is the hitting column to state 0; the identity needs
     sum(d) = 0, so d goes through ``zero_sum`` first, as on the matrix
-    route.  Grounded at state 0, the first-step matrix L' of states
-    1..N-1 (diagonal = off-diagonal row sum) factors as L' = U diag(s) Lo,
-    read off the reduced array A: unit upper U[i,k] = -a_ik, pivots
-    s_k = sum_{j<k} a_kj, and unit lower Lo[k,j] = -a_kj / s_k.  Then
-    h0 = L'^-1 1, and with d split into d+ = max(d, 0) and
-    d- = max(-d, 0), y = (d+ - d-) L'^-1.
+    route.  With the grounded factors L' = U diag(s) Lo of
+    ``_grounded_factors``, h0 = L'^-1 1, and with d split into
+    d+ = max(d, 0) and d- = max(-d, 0), y = (d+ - d-) L'^-1.
 
-    The factors are kept in A itself, with row and column 0 in place:
-    a zero right-hand side at index 0 between the triangular solves keeps
-    state 0 out of the answer.  Every solve adds products of non-negative
-    numbers, so the only cancellation is in the final difference, and
-    eps times the sum of the magnitudes that meet there bounds its error.
+    Every solve adds products of non-negative numbers, so the only
+    cancellation is in the final difference, and eps times the sum of
+    the magnitudes that meet there bounds its error.
     """
     d = zero_sum(d)
-    A = _state_reduction(P)
-    pi = _reduced_stationary(A).weights
-    N = A.shape[0]
-    s = np.ones(N)  # s_0 is never read: index 0 always meets a zero
-    for k in range(1, N):
-        s[k] = A[k, :k].sum()
-        A[k, :k] /= s[k]
-    np.negative(A, out=A)
-    solve = functools.partial(solve_triangular, A, unit_diagonal=True, check_finite=False)
+    solve, s, pi = _grounded_factors(P)
+    N = s.shape[0]
     r = solve(np.ones(N))
     r[0] = 0.0
     h0 = solve(r / s, lower=True)
@@ -333,8 +406,69 @@ def transport_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, floa
     a, b = ab[:, 0], ab[:, 1]
     hp, hm = rhs[:, 0] @ h0, rhs[:, 1] @ h0
     per_target = (hp - hm) - (a - b)
-    err = float(np.finfo(float).eps * ((a + b).max() + hp + hm))
+    err = float(EPS * ((a + b).max() + hp + hm))
     return per_target, err
+
+
+def _grounded_matrix(P: TransitionMatrix) -> np.ndarray:
+    """All-pairs hitting times from one state reduction, by Kemeny-Snell.
+
+    G = L'^-1, grounded at state 0 and padded with a zero row and column
+    0, takes two triangular solves with N right-hand sides on the
+    factors of ``_grounded_factors``; then h0 = G 1 and
+
+        M_ij = (G_jj - G_ij) / pi_j + h0_i - h0_j,    M_jj = 0,
+
+    which is E_i[tau_j] written with the group inverse
+    (I - 1 pi^T) G (I - 1 pi^T).  It costs O(N^3) in all, with no LU; the
+    entries of G keep a small relative error, and the cancellation in M
+    is what ``_column_bounds`` certifies.
+    """
+    solve, s, pi = _grounded_factors(P)
+    G = solve(np.eye(s.shape[0]))  # U^-1
+    G[0] = 0.0
+    G = solve(G / s[:, None], lower=True)
+    h0 = G.sum(axis=1)
+    M = np.subtract(G.diagonal().copy(), G, out=G)  # G_jj - G_ij
+    M /= pi
+    M += h0[:, None] - h0
+    np.fill_diagonal(M, 0.0)
+    return M
+
+
+def _first_step_matrix(P: TransitionMatrix) -> np.ndarray:
+    """L with L_ik = -p_ik off the diagonal and L_ii = sum_{k != i} p_ik."""
+    L = np.negative(P.rows)
+    np.fill_diagonal(L, 0.0)
+    np.fill_diagonal(L, -L.sum(axis=1))
+    return L
+
+
+def _column_bounds(L: np.ndarray, H: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The residual certificate b of each column H[:, c], the column to ``targets[c]``.
+
+    For target j, L_j (L without row and column j) is an M-matrix, so
+    L_j^-1 >= 0 and L_j^-1 1 = h, the exact column.  A computed column
+    h' with h'_j = 0 and residual r = 1 - L_j h' then satisfies
+    |h' - h| = |L_j^-1 r| <= ||r||_inf h entrywise.  The residual is
+    read off two GEMMs, L H and |L| |H|, and each row adds the rounding
+    of its own residual, at most (nnz_i + 2) eps (1 + (|L||H|)_ij) with
+    nnz_i the non-zeros of row i of L, so
+
+        b_j = max_{i != j} |1 - (L H)_ij| + (nnz_i + 2) eps (1 + (|L||H|)_ij)
+
+    bounds the relative error of every entry of the column.  A column
+    with a non-finite entry gets a NaN or infinite bound.
+    """
+    b = L @ H
+    np.subtract(1.0, b, out=b)
+    np.abs(b, out=b)
+    rounding = np.abs(L) @ np.abs(H)
+    rounding += 1.0
+    rounding *= (np.count_nonzero(L, axis=1)[:, None] + 2) * EPS
+    b += rounding
+    b[targets, np.arange(targets.size)] = 0.0
+    return b.max(axis=0)
 
 
 def detailed_balance_residual(P: TransitionMatrix, pi: ProbabilityVector) -> float:

@@ -1,5 +1,7 @@
 import csv
 import json
+import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -9,6 +11,7 @@ from scipy.linalg import lu_factor, lu_solve
 from access_time import (
     ChainSpec,
     ChainSpecError,
+    HittingTimeMatrix,
     ReducibleChainError,
     TransitionMatrix,
     birth_death_hitting_formula,
@@ -31,7 +34,7 @@ from access_time import hitting
 from access_time.cli import main
 from access_time.hitting import STATIONARY_PANEL, detailed_balance_residual
 from conftest import small_family_chains
-from oracles import fraction_hitting_matrix, fraction_stationary
+from oracles import cube_antipodal_exact, fraction_hitting_matrix, fraction_stationary
 
 
 def rel_close(a, b, tol=1e-9):
@@ -481,7 +484,7 @@ def test_reducible_chain_refused_by_every_solve():
 
 
 def dense_reference_column(P, target):
-    """The dense first-step solve, verbatim: the dense route must match it bit for bit."""
+    """The dense per-target first-step solve, verbatim, as the banded route's reference."""
     N = P.size
     keep = np.r_[0:target, target + 1 : N]
     A = P.rows.T[np.ix_(keep, keep)].T
@@ -531,16 +534,101 @@ def test_banded_chains_never_factor_densely(capsys, tmp_path):
     assert float(row["max_hitting"]) == pytest.approx(1024 * 1025 / 0.6, rel=1e-12)
 
 
+def _wide_chain_cases():
+    graph = ChainSpec("graph", edges=random_connected_graph(12, np.random.default_rng(5), 14))
+    return [
+        (ChainSpec("star", n=20), star_hitting_formula),
+        (ChainSpec("complete", n=20), complete_hitting_formula),
+        (ChainSpec("hypercube", n=4), None),
+        (graph, None),
+    ]
+
+
+def assert_within_column_bounds(values, exact, bound):
+    """|values[i, j] - E_i[tau_j]| <= bound[j] E_i[tau_j] in exact arithmetic.
+
+    A column with a non-finite bound claims nothing and is skipped.
+    """
+    N = len(exact)
+    for j in range(N):
+        if not np.isfinite(bound[j]):
+            continue
+        b = Fraction(float(bound[j]))
+        for i in range(N):
+            assert abs(Fraction(float(values[i, j])) - exact[i][j]) <= b * exact[i][j], (i, j)
+
+
 @pytest.mark.parametrize(
-    "spec",
-    [ChainSpec("star", n=20), ChainSpec("complete", n=20), ChainSpec("hypercube", n=4)],
-    ids=lambda s: s.family,
+    "spec, formula", _wide_chain_cases(), ids=["star", "complete", "hypercube", "graph"]
 )
-def test_wide_chains_keep_the_dense_route_bit_for_bit(spec):
+def test_wide_chains_take_the_certified_one_reduction_route(spec, formula):
     chain = build_chain(spec)
     assert not on_banded_route(chain)
-    with mock.patch.object(hitting, "lu_factor", wraps=hitting.lu_factor) as factor:
-        M = hitting_time_matrix(chain).values
-    assert factor.call_count == chain.size
-    for target in range(chain.size):
-        np.testing.assert_array_equal(M[:, target], dense_reference_column(chain, target))
+    refuse = mock.Mock(side_effect=AssertionError("per-target solve on a certified chain"))
+    with mock.patch.object(hitting, "hitting_time_to", refuse), mock.patch.object(
+        hitting, "lu_factor", refuse
+    ):
+        M = hitting_time_matrix(chain)
+    if formula is None:
+        exact = fraction_hitting_matrix(chain.rows)
+    else:
+        exact = [[Fraction(x) for x in row] for row in formula(spec.n).tolist()]
+    assert M.column_bound.shape == (chain.size,)
+    assert np.all(M.column_bound <= hitting.CERT_GATE)
+    assert_within_column_bounds(M.values, exact, M.column_bound)
+
+
+def test_refused_columns_fall_back_to_the_per_target_solve():
+    # entries reach 2**40, so the rounding of the residual alone refuses
+    # 25 of the 40 columns; the per-target LU gets them exactly
+    chain = build_chain(ChainSpec("winning_streak", n=40))
+    with mock.patch.object(hitting, "hitting_time_to", wraps=hitting.hitting_time_to) as column:
+        M = hitting_time_matrix(chain)
+    refused = [call.args[1] for call in column.call_args_list]
+    assert len(refused) == 25
+    assert np.all(M.column_bound[refused] > hitting.CERT_GATE)
+    assert np.isfinite(M.column_bound).all()
+    np.testing.assert_array_equal(M.values, winning_streak_hitting_formula(40))
+
+
+def test_banded_matrix_carries_no_certificate():
+    M = hitting_time_matrix(build_chain(ChainSpec("path", n=8)))
+    assert M.column_bound is None
+    assert HittingTimeMatrix(values=M.values, labels=M.labels).column_bound is None
+
+
+def count_package_calls(monkeypatch, *names):
+    """Count calls of ``hitting.<name>`` through every binding in the package."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for key, m in list(sys.modules.items())
+               if m is not None and key.split(".")[0] == "access_time"]
+    for name in names:
+        original = getattr(hitting, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return counts
+
+
+def test_bounds_on_a_banded_chain_solves_per_target(monkeypatch, capsys):
+    counts = count_package_calls(
+        monkeypatch, "hitting_time_matrix", "hitting_time_to", "_require_solvable"
+    )
+    assert main(["bounds", "--chain", '{"family":"path","n":8}']) == 0
+    assert rel_close(json.loads(capsys.readouterr().out)["max_hitting"], 64.0, 1e-12)
+    assert counts == {"hitting_time_matrix": 1, "hitting_time_to": 9, "_require_solvable": 10}
+
+
+def test_bounds_on_the_9_cube_needs_no_per_target_solve(capsys):
+    refuse = mock.Mock(side_effect=AssertionError("per-target solve on the 9-cube"))
+    with mock.patch.object(hitting, "hitting_time_to", refuse):
+        assert main(["bounds", "--chain", '{"family":"hypercube","n":9}']) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert rel_close(out["max_hitting"], float(cube_antipodal_exact(9)), 1e-12)
+    assert out["argmax_pair"] == ["000000000", "111111111"]

@@ -264,6 +264,33 @@ class TransitionMatrix:
         offsets = graph.indices - sources
         return -int(offsets.min(initial=0)), int(offsets.max(initial=0))
 
+    @cached_property
+    def step_times(self) -> tuple[np.ndarray, np.ndarray]:
+        """Step times ``up[k] = E_k[tau_{k+1}]``, ``down[k] = E_{k+1}[tau_k]`` of a
+        tridiagonal chain, k = 0..N-2, by first steps on the off-diagonal rates:
+
+            up_k = (1 + p_{k,k-1} up_{k-1}) / p_{k,k+1},  up_{-1} = 0,
+            down_k = (1 + p_{k+1,k+2} down_{k+1}) / p_{k+1,k},  down_{N-1} = 0.
+
+        Nothing is subtracted.  The loop is sequential because
+        detailed-balance products can overflow where step times do not.
+        Meaningful for an irreducible chain of bandwidth (1, 1), whose
+        off-diagonal rates are all positive; an overflow reads inf.
+        """
+        N = self.size
+        ahead = np.diagonal(self.rows, 1).tolist() + [0.0]  # p_{k,k+1}
+        behind = [0.0] + np.diagonal(self.rows, -1).tolist()  # p_{k,k-1}
+        up, down = np.empty(N - 1), np.empty(N - 1)
+        t = 0.0
+        for k in range(N - 1):
+            t = up[k] = (1.0 + behind[k] * t) / ahead[k]
+        t = 0.0
+        for k in range(N - 2, -1, -1):
+            t = down[k] = (1.0 + ahead[k + 1] * t) / behind[k + 1]
+        up.setflags(write=False)
+        down.setflags(write=False)
+        return up, down
+
     def integer_labels(self) -> np.ndarray:
         """Labels as an integer array; rejects bit-string labelled chains."""
         if not all(isinstance(l, (int, np.integer)) for l in self.labels):

@@ -193,6 +193,8 @@ def cmd_verify(args) -> int:
         )
     if args.trials < 1:
         raise ChainSpecError(f"--trials must be at least 1, got {args.trials}")
+    if not 0.0 <= args.tol < np.inf:  # NaN fails every comparison
+        raise ChainSpecError(f"--tol must be finite and non-negative, got {args.tol}")
     ns = _parse_n_list(args.n)
     rng = np.random.default_rng(args.seed)
     rows = []

@@ -8,12 +8,13 @@ target j the column (E_i[tau_j])_i solves the first-step system
 which reads, like the stationary reduction, only the off-diagonal rates:
 the diagonal is the row's off-diagonal sum, never 1 - p_ii, so a chain
 that mostly holds in place loses no digits to cancellation.  One target
-(``hitting_time_to``) is solved with partial-pivoted LU once the chain
-has said it is irreducible, a verdict it computes once and keeps: in
-band storage when the chain's bandwidth (l, u) has 2 (l + u) < N, in
-O(N l (l + u)), and densely otherwise, in O(N^3).  The path and
-birth-death chains are tridiagonal, so each of their columns costs
-O(N).  Desk-scale by design; the state-count ceiling is
+(``hitting_time_to``) is solved once the chain has said it is
+irreducible, a verdict it computes once and keeps.  On a tridiagonal
+chain, such as the path and the birth-death chain, column j is two
+cumulative sums, one on either side of j, of the step times
+``TransitionMatrix.step_times`` from a subtraction-free recurrence, in
+O(N); every other chain is factored densely with partial-pivoted LU, in
+O(N^3).  Desk-scale by design; the state-count ceiling is
 ``chains.dense_size_cap()``.
 
 The blocked state reduction behind ``stationary_distribution`` also
@@ -27,15 +28,16 @@ factors the first-step system grounded at state 0, L' = U diag(s) Lo
   ``access.access_time`` keeps that scan when the estimate passes
   ``access.SCAN_GATE`` and falls back to ``hitting_time_matrix``
   otherwise.
-- ``hitting_time_matrix`` off the banded route: G = L'^-1 from two
+- ``hitting_time_matrix`` off the tridiagonal route: G = L'^-1 from two
   triangular solves with N right-hand sides, then
   M_ij = (G_jj - G_ij) / pi_j + h0_i - h0_j, O(N^3) in all.  Each
   column j is certified by its first-step residual: L_j is an M-matrix,
   so b_j = max_i |1 - (L M)_ij| plus the rounding of that residual
   bounds the relative error of every entry, |M' - M| <= b_j M, read off
   two GEMMs.  A column with b_j > ``CERT_GATE`` is solved again per
-  target; the table keeps every b_j as ``column_bound``.  Banded chains
-  keep the per-target loop, which is cheaper there.
+  target; the table keeps every b_j as ``column_bound``.  Tridiagonal
+  chains keep the per-target columns, O(N^2) in all, and the a priori
+  bound of their recurrence.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, solve_banded, solve_triangular
+from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
 from .chains import (
     ChainSpecError,
@@ -90,12 +92,12 @@ class HittingTimeMatrix:
     The diagonal is exactly zero (the hitting time of the start state is 0)
     and every off-diagonal entry of an irreducible chain is positive.
 
-    ``column_bound[j]``, when present, is the first-step residual
-    certificate of column j: every entry satisfies
-    |values[i, j] - E_i[tau_j]| <= column_bound[j] E_i[tau_j].
-    ``hitting_time_matrix`` sets it off the banded route; it is None for
-    a banded chain's table and for one built by hand, and no command
-    prints it.
+    ``column_bound[j]`` bounds the relative error of column j: every
+    entry satisfies |values[i, j] - E_i[tau_j]| <= column_bound[j] E_i[tau_j].
+    ``hitting_time_matrix`` always sets it, to the first-step residual
+    certificate or, on a tridiagonal chain, to the a priori bound of the
+    step-time recurrence; it is None only for a table built by hand, and
+    no command prints it.
     """
 
     values: np.ndarray
@@ -144,16 +146,15 @@ def argmax_smallest(scores: np.ndarray) -> tuple[float, int]:
 def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
     """Mean hitting times of one target state from every start.
 
-    A chain whose steps stay within l states below and u above the
-    diagonal (``P.bandwidth``) is solved in band storage when
-    2 (l + u) < N, in O(N l (l + u)); every other chain is factored
-    densely with partial-pivoted LU, in O(N^3).  The rule is the crossover
-    measured on random banded chains with one BLAS thread: at N = 256,
-    l = u = 32 took 0.56 ms banded against 1.30 ms dense, l = u = 63 tied
-    (1.35 against 1.38 ms) and l = u = 80 lost (1.99 against 1.50 ms).  At
-    N = 1024 the band still won at l + u = 900 (37 against 44 ms), so
-    there the rule errs towards the dense route.  The path and birth-death
-    chains are tridiagonal, so their columns cost O(N).
+    A tridiagonal chain (``P.bandwidth`` at most (1, 1)) needs no linear
+    solve: a walk from i to j crosses every edge between them, so
+    E_i[tau_j] is up_i + ... + up_{j-1} below j and down_j + ... +
+    down_{i-1} above it, with the step times of ``P.step_times``, read
+    once per chain; two cumulative sums, O(N), no subtraction and no
+    pivot.  Every other chain is factored densely with partial-pivoted
+    LU, in O(N^3).  A non-finite column, from a step time past the float
+    range or an exactly zero LU pivot, raises ``LinAlgError`` naming the
+    target.
 
     Parameters
     ----------
@@ -171,59 +172,23 @@ def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
     N = P.size
     if not 0 <= target < N:
         raise ChainSpecError(f"target index {target} out of range for {N} states")
-    if _is_banded(P):
-        h = _banded_column(P, target, *P.bandwidth)
-    else:
-        h = _dense_column(P, target)
-    if not np.isfinite(h).all():  # a dense LU's exactly zero pivot leaves inf and NaN
-        raise _singular(target)
+    h = _tridiagonal_column(P, target) if _is_tridiagonal(P) else _dense_column(P, target)
+    if not np.isfinite(h).all():
+        raise np.linalg.LinAlgError(f"singular first-step system for target {target}")
     return h
 
 
-def _is_banded(P: TransitionMatrix) -> bool:
-    """Whether P's first-step systems go to band storage: 2 (l + u) < N."""
-    lower, upper = P.bandwidth
-    return 2 * (lower + upper) < P.size
+def _is_tridiagonal(P: TransitionMatrix) -> bool:
+    """Whether P's columns come from its step times: one step moves at most one state."""
+    return max(P.bandwidth) <= 1
 
 
-def _singular(target: int) -> np.linalg.LinAlgError:
-    return np.linalg.LinAlgError(f"singular first-step system for target {target}")
-
-
-def _banded_column(P: TransitionMatrix, target: int, lower: int, upper: int) -> np.ndarray:
-    """The first-step system of all N states in LAPACK band storage.
-
-    Built from the l + u off-diagonals of P alone, never the dense
-    array: ab[u + i - k, k] holds -p_ik and the diagonal row the sum of
-    row i's off-diagonal rates.  The target's row is pinned to h = 0,
-    which keeps the band where deleting its row and column would shift
-    every index past the target; its column then multiplies a zero.
-    """
-    N = P.size
-    ab = np.zeros((lower + upper + 1, N))
-    diagonal = ab[upper]
-    for k in range(-lower, upper + 1):
-        if k == 0:
-            continue
-        step = np.diagonal(P.rows, k)  # p_{i,i+k}
-        if k > 0:
-            ab[upper - k, k:] = -step
-            diagonal[: N - k] += step
-        else:
-            ab[upper - k, : N + k] = -step
-            diagonal[-k:] += step
-    for k in range(max(-lower, -target), min(upper, N - 1 - target) + 1):
-        ab[upper - k, target + k] = 0.0
-    ab[upper, target] = 1.0
-    rhs = np.ones(N)
-    rhs[target] = 0.0
-    try:
-        h = solve_banded(
-            (lower, upper), ab, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False
-        )
-    except np.linalg.LinAlgError as exc:  # an exactly zero pivot
-        raise _singular(target) from exc
-    h[target] = 0.0
+def _tridiagonal_column(P: TransitionMatrix, target: int) -> np.ndarray:
+    """Column ``target`` as a reversed cumulative sum of up below it and one of down above it."""
+    up, down = P.step_times
+    h = np.zeros(P.size)
+    h[:target] = up[:target][::-1].cumsum()[::-1]
+    h[target + 1 :] = down[target:].cumsum()
     return h
 
 
@@ -244,25 +209,27 @@ def _dense_column(P: TransitionMatrix, target: int) -> np.ndarray:
 
 
 def hitting_time_matrix(P: TransitionMatrix) -> HittingTimeMatrix:
-    """All-pairs mean hitting times; off the banded route, each column certified.
+    """All-pairs mean hitting times, each column with a relative error bound.
 
-    A chain on the banded route (2 (l + u) < N, see ``hitting_time_to``)
-    is solved one ``hitting_time_to`` column per target, O(N^2 (l + u))
-    in all, and its table carries no ``column_bound``.  Every other chain
-    takes ``_grounded_matrix``, O(N^3) from one state reduction, and
-    ``_column_bounds`` certifies each column j with a relative error
-    bound b_j.  A column with b_j > ``CERT_GATE``, or with a non-finite
-    entry, is solved again by ``hitting_time_to`` and certified again,
-    so it is exactly the per-target column; its bound is kept whether or
-    not it now passes the gate.
+    A tridiagonal chain is solved one ``hitting_time_to`` column per
+    target, O(N^2) in all.  Each step time adds three roundings to a sum
+    of positive terms, and the cumulative sum one per term, so every
+    entry is within (4N - 7) u of the exact time to first order, with
+    u = eps / 2 the unit roundoff; ``column_bound`` states 3 N eps, with
+    margin.  Every other chain takes ``_grounded_matrix``, O(N^3) from
+    one state reduction, and ``_column_bounds`` certifies each column j
+    with a relative error bound b_j.  A column with b_j > ``CERT_GATE``,
+    or with a non-finite entry, is solved again by ``hitting_time_to``
+    and certified again, so it is exactly the per-target column; its
+    bound is kept whether or not it now passes the gate.
     """
     _require_solvable(P)
     N = P.size
-    if _is_banded(P):
+    if _is_tridiagonal(P):
         values = np.empty((N, N))
         for j in range(N):
             values[:, j] = hitting_time_to(P, j)
-        return HittingTimeMatrix(values=values, labels=P.labels)
+        return HittingTimeMatrix(values, P.labels, column_bound=np.full(N, 3 * N * EPS))
     values = _grounded_matrix(P)
     L = _first_step_matrix(P)
     bound = _column_bounds(L, values, np.arange(N))

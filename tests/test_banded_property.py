@@ -1,7 +1,9 @@
-"""Property test: banded first-step solves against exact rational elimination.
+"""Property test: banded chains' hitting columns against exact rational elimination.
 
-The chains are tridiagonal to heptadiagonal with stiff dyadic rates, so
-every one of them takes the banded route of ``hitting_time_to``.
+The chains are tridiagonal to heptadiagonal with stiff dyadic rates.
+Tridiagonal ones take the step-time recurrence of ``hitting_time_to`` and
+must meet its entrywise a priori bound at every target; wider ones take
+the dense LU and must meet the normwise bound of a backward-stable solve.
 """
 import numpy as np
 import pytest
@@ -10,9 +12,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from access_time import TransitionMatrix, hitting_time_to
+from access_time import TransitionMatrix, hitting_time_matrix, hitting_time_to
 from oracles import fraction_hitting_matrix
+from test_hitting import assert_within_column_bounds
 from test_stationary_property import RATE
+
+EPS = np.finfo(float).eps
 
 
 @st.composite
@@ -31,22 +36,28 @@ def stiff_banded_chains(draw):
     return rows
 
 
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")  # a zero pivot, refused
 @settings(max_examples=40, deadline=None)
 @given(rows=stiff_banded_chains())
-def test_banded_route_matches_exact_elimination(rows):
-    """A backward-stable solve: each column is within N eps cond(L) of the exact one.
+def test_banded_columns_match_exact_elimination(rows):
+    """Tridiagonal draws: within the a priori bound, never refused.  Wider
+    draws: a backward-stable solve, within N eps cond(L) of the exact column.
 
     L, the first-step matrix of the other states, is an M-matrix, so
     ||L^-1||_inf = max h and cond(L) = ||L||_inf max h with
     ||L||_inf <= 2 max_i sum_{k != i} p_ik.  Rates spread over 12 decades
-    give condition numbers far past 1 / eps, where partial-pivoted LU,
-    banded or dense, can lose every digit or meet an exactly zero pivot;
-    the bound holds all the same, and a zero pivot is refused, not returned.
+    give condition numbers far past 1 / eps, where partial-pivoted LU can
+    lose every digit or meet an exactly zero pivot; the bound holds all
+    the same, and a zero pivot is refused, not returned.
     """
     chain = TransitionMatrix(rows)
-    assert 2 * sum(chain.bandwidth) < chain.size  # the banded route
     N = chain.size
-    exact = np.array([[float(x) for x in row] for row in fraction_hitting_matrix(rows)])
+    exact = fraction_hitting_matrix(rows)
+    if max(chain.bandwidth) <= 1:
+        columns = np.column_stack([hitting_time_to(chain, target) for target in range(N)])
+        assert_within_column_bounds(columns, exact, np.full(N, 3 * N * EPS))
+        return
+    exact = np.array([[float(x) for x in row] for row in exact])
     norm_L = 2.0 * (1.0 - np.diag(rows)).max()
     for target in range(N):
         try:
@@ -57,4 +68,26 @@ def test_banded_route_matches_exact_elimination(rows):
         h_exact = exact[:, target]
         cond = norm_L * h_exact.max()
         assert h[target] == 0.0
-        assert np.abs(h - h_exact).max() <= N * np.finfo(float).eps * cond * h_exact.max()
+        assert np.abs(h - h_exact).max() <= N * EPS * cond * h_exact.max()
+
+
+@st.composite
+def stiff_tridiagonal_chains(draw):
+    """Irreducible tridiagonal chains of 1 to 10 states, rates as in ``RATE``."""
+    N = draw(st.integers(1, 10))
+    rows = np.zeros((N, N))
+    for i in range(N - 1):
+        (m, e), (m2, e2) = draw(RATE), draw(RATE)
+        rows[i, i + 1], rows[i + 1, i] = m * 2.0**-e, m2 * 2.0**-e2
+    rows[np.arange(N), np.arange(N)] = 1.0 - rows.sum(axis=1)
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=stiff_tridiagonal_chains())
+def test_tridiagonal_matrix_meets_its_a_priori_bound(rows):
+    chain = TransitionMatrix(rows)
+    N = chain.size
+    M = hitting_time_matrix(chain)
+    assert np.array_equal(M.column_bound, np.full(N, 3 * N * EPS))
+    assert_within_column_bounds(M.values, fraction_hitting_matrix(rows), M.column_bound)

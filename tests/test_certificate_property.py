@@ -1,10 +1,13 @@
 """Property test: the column certificate of the hitting matrix against exact elimination.
 
-On the stiff dyadic chains of ``test_stationary_property`` (cycle arcs
-make every chain wide, so all take the one-reduction route), the bound
-b_j of each column must cover its true error, before the fallback and
-after it; every refused column must be the per-target solve, bit for
-bit, and keep a finite bound.
+On the stiff dyadic chains of ``test_stationary_property``, the bound
+b_j that ``_column_bounds`` reads off the one-reduction matrix must
+cover each column's true error.  Cycle arcs make every chain of three or
+more states wide, so ``hitting_time_matrix`` takes that route, and its
+bound must hold before the fallback and after it; every refused column
+must be the per-target solve, bit for bit, and keep a finite bound.  The
+two-state chains are tridiagonal and must meet the a priori bound of the
+step-time recurrence.
 """
 import numpy as np
 import pytest
@@ -23,11 +26,15 @@ from test_stationary_property import stiff_sparse_chains
 def test_certificate_covers_every_column(rows):
     chain = TransitionMatrix(rows)
     N = chain.size
-    assert 2 * sum(chain.bandwidth) >= N  # the one-reduction route
     exact = fraction_hitting_matrix(rows)
     raw = hitting._grounded_matrix(chain)
     raw_bound = hitting._column_bounds(hitting._first_step_matrix(chain), raw, np.arange(N))
     assert_within_column_bounds(raw, exact, raw_bound)
+    if max(chain.bandwidth) <= 1:  # the step-time recurrence
+        M = hitting_time_matrix(chain)
+        assert np.array_equal(M.column_bound, np.full(N, 3 * N * hitting.EPS))
+        assert_within_column_bounds(M.values, exact, M.column_bound)
+        return
 
     refused = np.flatnonzero(~(raw_bound <= hitting.CERT_GATE))
     try:

@@ -229,6 +229,21 @@ def test_one_sparsity_pass_serves_scc_and_bandwidth(monkeypatch):
     assert len(built) == 1
 
 
+def test_step_times_of_tridiagonal_families():
+    n = 30
+    up, down = build_chain(ChainSpec("path", n=n)).step_times
+    k = np.arange(n)
+    np.testing.assert_array_equal(up, 2 * k + 1)  # E_k[tau_{k+1}] = 2k + 1
+    np.testing.assert_array_equal(down, 2 * (n - 1 - k) + 1)
+    p = 0.3
+    chain = build_chain(ChainSpec("birth_death", n=n, p=p))
+    up, down = chain.step_times
+    np.testing.assert_allclose(up, (k + 1) / p, rtol=4 * n * np.finfo(float).eps)
+    np.testing.assert_allclose(down, up[::-1], rtol=4 * n * np.finfo(float).eps)
+    assert chain.step_times is chain.step_times and not up.flags.writeable
+    assert [a.size for a in TransitionMatrix(np.ones((1, 1))).step_times] == [0, 0]
+
+
 # --- distributions ----------------------------------------------------------
 
 

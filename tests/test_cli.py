@@ -413,6 +413,16 @@ def test_verify_without_trials_exits_2(capsys, trials):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+def test_verify_with_a_meaningless_tolerance_exits_2(capsys, tol):
+    # NaN and negative tolerances fail every trial, and inf passes any value
+    code, out, err = run_cli(
+        capsys, "verify", "--family", "path", "--n", "3", "--trials", "2", f"--tol={tol}"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--tol" in err
+
+
 @pytest.mark.parametrize(
     "spec",
     [

@@ -44,9 +44,8 @@ def rel_close(a, b, tol=1e-9):
 EPS = np.finfo(float).eps
 
 
-def on_banded_route(chain):
-    lower, upper = chain.bandwidth
-    return 2 * (lower + upper) < chain.size
+def on_tridiagonal_route(chain):
+    return max(chain.bandwidth) <= 1
 
 
 # --- solver correctness ------------------------------------------------------
@@ -121,11 +120,10 @@ def test_hitting_column_matches_matrix():
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 30, 40, 256, 1024])
 def test_path_lemma_both_branches(n):
     chain = build_chain(ChainSpec("path", n=n))
-    assert on_banded_route(chain) == (n >= 4)
+    assert on_tridiagonal_route(chain)
     M = hitting_time_matrix(chain)
-    F = path_hitting_formula(n)
-    # entrywise: the path at n = 1024 is 1.3e-12 off on either route
-    assert np.all(np.abs(M.values - F) <= 16 * (n + 1) * EPS * np.maximum(1.0, F))
+    # every step time is an odd integer, so the recurrence is exact
+    np.testing.assert_array_equal(M.values, path_hitting_formula(n))
 
 
 @pytest.mark.parametrize("n", [2, 5, 12, 30])
@@ -480,11 +478,11 @@ def test_reducible_chain_refused_by_every_solve():
         sample_trajectory(chain, 2, 0, seed=0)
 
 
-# --- banded first-step solves ----------------------------------------------------
+# --- tridiagonal step times and wider bands ----------------------------------
 
 
 def dense_reference_column(P, target):
-    """The dense per-target first-step solve, verbatim, as the banded route's reference."""
+    """The dense per-target first-step solve, verbatim, as the wide route's reference."""
     N = P.size
     keep = np.r_[0:target, target + 1 : N]
     A = P.rows.T[np.ix_(keep, keep)].T
@@ -501,10 +499,11 @@ def dense_reference_column(P, target):
 @pytest.mark.parametrize("n", [3, 40, 300])
 def test_birth_death_mirror_lemma_at_every_target(n, p):
     chain = build_chain(ChainSpec("birth_death", n=n, p=p))
-    assert on_banded_route(chain) == (n >= 4)
-    M = hitting_time_matrix(chain).values
+    assert on_tridiagonal_route(chain)
+    M = hitting_time_matrix(chain)
+    # F rounds once, in its division by 2p, and M is within its a priori bound
     F = birth_death_hitting_formula(n, p, "mirror")
-    assert np.all(np.abs(M - F) <= 16 * (n + 1) * EPS * np.maximum(1.0, F))
+    assert np.all(np.abs(M.values - F) <= (M.column_bound + EPS) * F)
 
 
 @pytest.mark.parametrize("reach", [2, 3])
@@ -512,11 +511,16 @@ def test_banded_graph_matches_dense_route(reach):
     N = 40
     edges = [(i, i + 1) for i in range(N - 1)] + [(i, i + reach) for i in range(0, N - reach, 3)]
     chain = build_chain(ChainSpec("graph", edges=edges))
-    assert chain.bandwidth == (reach, reach) and on_banded_route(chain)
+    assert chain.bandwidth == (reach, reach) and not on_tridiagonal_route(chain)
+    columns = np.column_stack([hitting_time_to(chain, target) for target in range(N)])
+    assert np.all(np.diag(columns) == 0.0)
     for target in range(N):
-        banded = hitting_time_to(chain, target)
-        assert banded[target] == 0.0
-        np.testing.assert_allclose(banded, dense_reference_column(chain, target), rtol=1e-12)
+        np.testing.assert_array_equal(columns[:, target], dense_reference_column(chain, target))
+    refuse = mock.Mock(side_effect=AssertionError("per-target solve on a certified chain"))
+    with mock.patch.object(hitting, "hitting_time_to", refuse):
+        M = hitting_time_matrix(chain)
+    assert np.all(M.column_bound <= hitting.CERT_GATE)
+    np.testing.assert_allclose(M.values, columns, rtol=1e-12)
 
 
 def test_banded_chains_never_factor_densely(capsys, tmp_path):
@@ -563,7 +567,7 @@ def assert_within_column_bounds(values, exact, bound):
 )
 def test_wide_chains_take_the_certified_one_reduction_route(spec, formula):
     chain = build_chain(spec)
-    assert not on_banded_route(chain)
+    assert not on_tridiagonal_route(chain)
     refuse = mock.Mock(side_effect=AssertionError("per-target solve on a certified chain"))
     with mock.patch.object(hitting, "hitting_time_to", refuse), mock.patch.object(
         hitting, "lu_factor", refuse
@@ -591,9 +595,18 @@ def test_refused_columns_fall_back_to_the_per_target_solve():
     np.testing.assert_array_equal(M.values, winning_streak_hitting_formula(40))
 
 
-def test_banded_matrix_carries_no_certificate():
-    M = hitting_time_matrix(build_chain(ChainSpec("path", n=8)))
-    assert M.column_bound is None
+@pytest.mark.parametrize(
+    # a dyadic p keeps the diagonal exact, so the oracle solves the same chain
+    "spec",
+    [ChainSpec("path", n=8), ChainSpec("birth_death", n=6, p=2.0**-40)],
+    ids=["path", "birth_death"],
+)
+def test_tridiagonal_matrix_carries_its_a_priori_bound(spec):
+    chain = build_chain(spec)
+    M = hitting_time_matrix(chain)
+    N = chain.size
+    assert np.array_equal(M.column_bound, np.full(N, 3 * N * EPS))
+    assert_within_column_bounds(M.values, fraction_hitting_matrix(chain.rows), M.column_bound)
     assert HittingTimeMatrix(values=M.values, labels=M.labels).column_bound is None
 
 

@@ -1,9 +1,11 @@
 """The solver refuses a singular system loudly, and both routes read one zero-sum d.
 
 A dense partial-pivoted LU solve that meets an exactly zero pivot returns
-NaN and inf, and the banded solve raises; ``hitting_time_to`` turns both into
-one ``LinAlgError`` naming the target (exit code 3 on the command line)
-rather than handing a bad column to the transport scan.  And since the
+NaN and inf, and a tridiagonal step time can overflow; ``hitting_time_to``
+turns both into one ``LinAlgError`` naming the target (exit code 3 on the
+command line) rather than handing a bad column to the transport scan.  A
+tridiagonal chain has no pivot, so where the LU meets a zero one its
+step-time column is still exact.  And since the
 Kemeny-Snell scan needs sum(mu - nu) = 0, ``transport_scan`` and the matrix
 route of ``access_time`` both evaluate mu - nu as projected by ``zero_sum``.
 """
@@ -63,8 +65,8 @@ def test_zero_pivot_is_refused_not_returned():
         assert np.isfinite(h).all() and (np.delete(h, target) > 0).all()
 
 
-#: a tridiagonal chain as {(i, j): e} for the rate 2**-e: the banded solve
-#: meets an exactly zero pivot on target 0, as the dense LU does
+#: a tridiagonal chain as {(i, j): e} for the rate 2**-e: partial-pivoted
+#: LU, banded or dense, meets an exactly zero pivot on target 0
 SINGULAR_BANDED = {
     (0, 1): 11, (1, 0): 11, (1, 2): 11, (2, 1): 28, (2, 3): 10, (3, 2): 44,
     (3, 4): 10, (4, 3): 11,
@@ -72,22 +74,30 @@ SINGULAR_BANDED = {
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-def test_banded_zero_pivot_is_refused_not_returned():
-    chain = TransitionMatrix(_chain({k: 2.0**-e for k, e in SINGULAR_BANDED.items()}, 5))
+def test_tridiagonal_chain_is_solved_where_lu_meets_a_zero_pivot():
+    rows = _chain({k: 2.0**-e for k, e in SINGULAR_BANDED.items()}, 5)
+    chain = TransitionMatrix(rows)
     assert chain.bandwidth == (1, 1)
-    with pytest.raises(np.linalg.LinAlgError, match="target 0"):
-        hitting_time_to(chain, 0)
     assert not np.isfinite(hitting._dense_column(chain, 0)).all()
-    for target in range(1, 5):
+    exact = fraction_hitting_matrix(rows)
+    M = hitting_time_matrix(chain)
+    assert np.array_equal(M.column_bound, np.full(5, 15 * hitting.EPS))
+    for target in range(5):
         h = hitting_time_to(chain, target)
-        assert np.isfinite(h).all() and (np.delete(h, target) > 0).all()
-    # a banded solve that overflows is refused as well
-    overflow = mock.Mock(return_value=np.full(5, np.inf))
-    with mock.patch.object(hitting, "solve_banded", overflow), pytest.raises(
-        np.linalg.LinAlgError, match="target 2"
-    ):
-        hitting_time_to(chain, 2)
-    assert overflow.called
+        assert np.array_equal(h, M.values[:, target]) and h[target] == 0.0
+        for i in range(5):
+            error = abs(Fraction(h[i]) - exact[i][target])
+            assert error <= Fraction(M.column_bound[target]) * exact[i][target], (i, target)
+
+
+def test_tridiagonal_overflow_is_refused_not_returned():
+    # 1 - 2**-1074 rounds to 1, and the one step up takes 2**1074 steps
+    chain = TransitionMatrix(np.array([[1.0 - 2.0**-1074, 2.0**-1074], [0.5, 0.5]]))
+    with pytest.raises(np.linalg.LinAlgError, match="target 1"):
+        hitting_time_to(chain, 1)
+    with pytest.raises(np.linalg.LinAlgError, match="target 1"):
+        hitting_time_matrix(chain)
+    assert np.array_equal(hitting_time_to(chain, 0), [0.0, 2.0])
 
 
 #: a 2**-27 exit from state 0 puts hitting times near 1.3e8

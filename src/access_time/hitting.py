@@ -152,9 +152,10 @@ def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
     down_{i-1} above it, with the step times of ``P.step_times``, read
     once per chain; two cumulative sums, O(N), no subtraction and no
     pivot.  Every other chain is factored densely with partial-pivoted
-    LU, in O(N^3).  A non-finite column, from a step time past the float
-    range or an exactly zero LU pivot, raises ``LinAlgError`` naming the
-    target.
+    LU, in O(N^3).  A non-finite column raises ``LinAlgError`` naming the
+    target and the cause: hitting times past the float range on the
+    tridiagonal route, a singular system (an exactly zero LU pivot) on the
+    dense one.
 
     Parameters
     ----------
@@ -172,9 +173,14 @@ def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
     N = P.size
     if not 0 <= target < N:
         raise ChainSpecError(f"target index {target} out of range for {N} states")
-    h = _tridiagonal_column(P, target) if _is_tridiagonal(P) else _dense_column(P, target)
+    if _is_tridiagonal(P):
+        h = _tridiagonal_column(P, target)
+        fault = f"hitting times of target {target} exceed the float range"
+    else:
+        h = _dense_column(P, target)
+        fault = f"singular first-step system for target {target}"
     if not np.isfinite(h).all():
-        raise np.linalg.LinAlgError(f"singular first-step system for target {target}")
+        raise np.linalg.LinAlgError(fault)
     return h
 
 

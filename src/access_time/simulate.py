@@ -8,14 +8,23 @@ is exactly nu and its mean stopping time sum_j nu_j H(mu, delta_j) is
 computable from the solver, which makes the simulation a sharp
 consistency check rather than a loose one.
 
-Randomness is counter based: one Philox stream keyed by the seed feeds a
-fixed draw lattice (two initialization rows, then one full-width row per
-step), so the trajectory of sample k is a pure function of (seed, k,
-sample count) no matter how the work is scheduled.  The walk reads each
-step's row raw and turns into uniforms only the entries of the samples
-still moving; those alone advance, and a sample leaves the working set
-the step it hits its target, so after the row draw the work of a step is
-proportional to the walks that have not yet stopped.
+Randomness comes from one Philox stream keyed by the seed, drawn in a
+fixed order: a row of ``samples`` uniforms for the starts, one for the
+targets, then, on every step, one uniform per walk still moving, in
+increasing sample index.  A walk leaves the working set the step it hits
+its target, so every uniform drawn for a step moves a walk, and the
+trajectories are a pure function of (seed, samples).
+
+A walk at state i with uniform u moves to ``dest[i, #{bins[:, i] <= u}]``,
+read off a per-state out-edge table: ``dest[i]`` lists the non-zero
+columns of row i in increasing order, ``bins[:, i]`` their cumulative
+sums but the last, padded with 1.0 to K - 1 entries, K the largest
+out-degree.  The sums are the dense row's cumulative sums at those
+columns; dropping the last one sends every u the rounded row sum leaves
+uncovered to the row's last out-edge, never to a column the chain cannot
+reach.  A step costs K - 1 comparisons per moving walk, O(K) rather than
+O(N).  Laws draw their states by the same rule, with a ``searchsorted``
+over their one row.
 """
 from __future__ import annotations
 
@@ -33,8 +42,6 @@ MIN_SAMPLES = 1000
 #: per walk) would otherwise run for days instead of failing
 MAX_EXPECTED_STEPS = 1e9
 
-_U53 = 2.0**-53  # Generator.random's double is (raw >> 11) * 2**-53
-
 
 @dataclass(frozen=True)
 class SimReport:
@@ -45,8 +52,10 @@ class SimReport:
     within a few standard errors of it, and the empirical law of the
     stopped state should be close to nu in total variation.
     ``lattice_rows`` and ``useful_steps`` describe the kernel's work and
-    stay out of the JSON report: ``useful_steps / (lattice_rows *
-    samples)`` is the share of drawn uniforms that moved a walk.
+    stay out of the JSON report.  Every uniform drawn for a step moves a
+    walk, so ``useful_steps`` is also the number of step draws, and
+    ``useful_steps / (lattice_rows * samples)`` is the share a full-width
+    row per step would have used.
     """
 
     samples: int
@@ -55,7 +64,7 @@ class SimReport:
     empirical_law: ProbabilityVector
     tv_to_target: float
     theoretical_mean: float
-    lattice_rows: int = 0  # step rows drawn: the longest walk
+    lattice_rows: int = 0  # steps taken by the longest walk
     useful_steps: int = 0  # sum of the step counts
 
     @property
@@ -74,33 +83,76 @@ class SimReport:
         }
 
 
-def _cumulative(weights: np.ndarray) -> np.ndarray:
-    """Cumulative table of a law, or of each row of a transition matrix."""
-    C = np.cumsum(weights, axis=-1)
-    C[..., -1] = 1.0  # guard the last bin against rounding
-    return C
+def _out_edges(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Out-edge table ``(dest, bins)`` of each row of ``weights``; a law is one row.
+
+    ``dest[i, :d_i]`` holds the d_i non-zero columns of row i in increasing
+    order and ``bins[:d_i - 1, i]`` their cumulative sums but the last; the
+    rest of ``bins[:, i]``, to K - 1 entries for K = max d_i, reads 1.0,
+    which no uniform u < 1 reaches.
+    """
+    rows = np.atleast_2d(weights)
+    src, dst = np.nonzero(rows)  # row-major, so each row's columns ascend
+    degree = np.bincount(src, minlength=rows.shape[0])
+    K = int(degree.max())
+    slot = np.arange(src.size) - np.repeat(np.cumsum(degree) - degree, degree)
+    dest = np.zeros((rows.shape[0], K), dtype=np.intp)
+    dest[src, slot] = dst
+    cum = np.zeros(dest.shape)
+    cum[src, slot] = rows[src, dst]
+    np.cumsum(cum, axis=1, out=cum)  # the dense row's cumsum at its non-zero columns
+    cum[np.arange(K) >= degree[:, None] - 1] = 1.0
+    return dest, np.ascontiguousarray(cum[:, :-1].T)
+
+
+def _draw_law(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """States drawn from a law, one per uniform in ``u``."""
+    dest, bins = _out_edges(weights)
+    return dest[0, np.searchsorted(bins[:, 0], u, side="right")]
+
+
+def _walk(
+    P: TransitionMatrix, current: np.ndarray, targets: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, int]:
+    """Steps until each walk first occupies its target, and the most any walk took.
+
+    Every step draws ``rng.random(m)`` for the m walks still moving, in
+    increasing index, and moves each one out-edge; a walk leaves the
+    working set the step it hits its target.
+    """
+    dest, bins = _out_edges(P.rows)
+    K = dest.shape[1]
+    dest = dest.ravel()  # dest[i * K + c] is row i's out-edge c
+    steps = np.zeros(current.size, dtype=np.int64)
+    idx = np.flatnonzero(current != targets)  # the walks still moving
+    cur, tgt = current[idx], targets[idx]
+    t = 0
+    while idx.size:
+        u = rng.random(idx.size)
+        t += 1
+        cur = dest[cur * K + (bins.take(cur, axis=1) <= u).sum(axis=0)]
+        hit = cur == tgt
+        if hit.any():
+            steps[idx[hit]] = t
+            moving = ~hit
+            idx, cur, tgt = idx[moving], cur[moving], tgt[moving]
+    return steps, t
 
 
 def sample_trajectory(P: TransitionMatrix, start: int, stop: int, seed: int) -> int:
     """Steps until the walk started at ``start`` first occupies ``stop``.
 
     Deterministic given the seed; returns 0 when start == stop (the walk
-    is already there at time zero).
+    is already there at time zero).  The walk draws one uniform per step
+    and moves by ``simulate_rule``'s out-edge rule.
     """
     _require_solvable(P)
     N = P.size
     if not (0 <= start < N and 0 <= stop < N):
         raise ChainSpecError(f"states ({start}, {stop}) out of range for {N} states")
-    if start == stop:
-        return 0
     rng = np.random.Generator(np.random.Philox(key=seed))
-    C = _cumulative(P.rows)
-    state = start
-    steps = 0
-    while state != stop:
-        state = int(np.searchsorted(C[state], rng.random(), side="right"))
-        steps += 1
-    return steps
+    steps, _ = _walk(P, np.array([start]), np.array([stop]), rng)
+    return int(steps[0])
 
 
 def simulate_rule(
@@ -151,26 +203,10 @@ def simulate_rule(
             f"{MAX_EXPECTED_STEPS:.0e} expected steps"
         )
 
-    bits = np.random.Philox(key=seed)
-    rng = np.random.Generator(bits)
-    current = np.searchsorted(_cumulative(mu.weights), rng.random(samples), side="right")
-    targets = np.searchsorted(_cumulative(nu.weights), rng.random(samples), side="right")
-    bins = np.ascontiguousarray(_cumulative(P.rows).T)  # bins[j, i] = C[i, j]
-
-    steps = np.zeros(samples, dtype=np.int64)
-    idx = np.flatnonzero(current != targets)  # the samples still moving
-    cur, tgt = current[idx], targets[idx]
-    t = 0
-    while idx.size:
-        raw = bits.random_raw(samples)  # the full lattice row keeps the stream fixed
-        t += 1
-        u = (raw[idx] >> 11) * _U53  # what rng.random(samples)[idx] would hold
-        cur = (bins.take(cur, axis=1) <= u).sum(axis=0)  # searchsorted, side right
-        hit = cur == tgt
-        if hit.any():
-            steps[idx[hit]] = t
-            moving = ~hit
-            idx, cur, tgt = idx[moving], cur[moving], tgt[moving]
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    current = _draw_law(mu.weights, rng.random(samples))
+    targets = _draw_law(nu.weights, rng.random(samples))
+    steps, t = _walk(P, current, targets, rng)
 
     mean_t = float(steps.mean())
     stderr = float(steps.std(ddof=1) / np.sqrt(samples))

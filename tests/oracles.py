@@ -4,9 +4,10 @@ Expected values are recomputed here through routes the library never
 takes: exact rational Gaussian elimination for hitting times and
 stationary laws, plain Python scans for transport values, a distance
 chain recursion for the hypercube, convolution for binomial weights,
-boolean matrix powers for the period, and the full-width Monte Carlo loop
-that advances every sample on every step.
+boolean matrix powers for the period, and a scalar Monte Carlo loop that
+moves one walk at a time.
 """
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd
 
@@ -117,31 +118,40 @@ def return_time_period(rows):
     return g
 
 
-def _cumulative(weights):
-    C = np.cumsum(weights, axis=-1)
-    C[..., -1] = 1.0
-    return C
+def _support(weights):
+    """A row's non-zero columns and their cumulative sums, as lists."""
+    cols = np.flatnonzero(weights)
+    return cols.tolist(), np.cumsum(weights[cols]).tolist()
 
 
-def full_width_walks(transition_rows, mu, nu, samples, seed):
-    """Step counts and stopped states of the independent-target rule, the slow way.
+def _pick(edges, u):
+    """The state u picks: a search, side right, of u among the row's cumulative sums.
 
-    Every step draws the full lattice row with ``Generator.random`` and
-    masks the whole sample width, until the slowest walk ends; the
-    compacted kernel must reproduce both arrays exactly.
+    A u at or past the rounded row sum takes the row's last non-zero
+    column, never a column the row cannot reach.
+    """
+    cols, cum = edges
+    return cols[min(bisect_right(cum, u), len(cols) - 1)]
+
+
+def scalar_walks(transition_rows, mu, nu, samples, seed):
+    """Step counts and stopped states of the independent-target rule, one walk at a time.
+
+    The starts and the targets each take a row of ``samples`` uniforms; then
+    every step draws one ``Generator.random()`` per walk still moving, in
+    increasing sample index, and moves that walk alone.  The vectorized
+    kernel must reproduce both arrays exactly.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
-    current = np.searchsorted(_cumulative(mu), rng.random(samples), side="right")
-    targets = np.searchsorted(_cumulative(nu), rng.random(samples), side="right")
-    C = _cumulative(np.asarray(transition_rows, dtype=float))
-
-    steps = np.zeros(samples, dtype=np.int64)
-    active = current != targets
-    while active.any():
-        u = rng.random(samples)  # full-width row keeps the lattice fixed
-        rows = C[current[active]]
-        moved = (rows <= u[active, None]).sum(axis=1)  # searchsorted, side right
-        current[active] = moved
-        steps[active] += 1
-        active = current != targets
-    return steps, current
+    rows = [_support(row) for row in np.asarray(transition_rows, dtype=float)]
+    start, target = _support(np.asarray(mu)), _support(np.asarray(nu))
+    current = [_pick(start, u) for u in rng.random(samples).tolist()]
+    targets = [_pick(target, u) for u in rng.random(samples).tolist()]
+    steps = [0] * samples
+    moving = [k for k in range(samples) if current[k] != targets[k]]
+    while moving:
+        for k in moving:
+            current[k] = _pick(rows[current[k]], rng.random())
+            steps[k] += 1
+        moving = [k for k in moving if current[k] != targets[k]]
+    return np.array(steps, dtype=np.int64), np.array(current)

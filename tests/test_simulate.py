@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from access_time import (
     ChainSpec,
@@ -8,11 +9,12 @@ from access_time import (
     build_chain,
     hitting_time_matrix,
     sample_trajectory,
+    simulate,
     simulate_rule,
     tv_distance,
 )
 from conftest import dirac
-from oracles import full_width_walks
+from oracles import scalar_walks
 
 
 def test_tv_examples():
@@ -157,13 +159,13 @@ def test_trajectory_pinned_lengths(spec, start, stop, lengths):
 @pytest.mark.parametrize(
     "spec, seed, mean_t, stderr, counts",
     [
-        (ChainSpec("path", n=5), 3, 10.046, 0.331068339051866, [333, 308, 344, 345, 338, 332]),
-        (ChainSpec("winning_streak", n=4), 11, 3.908, 0.14384753754245677, [471, 524, 487, 518]),
+        (ChainSpec("path", n=5), 3, 9.77, 0.31756333736219977, [333, 308, 344, 345, 338, 332]),
+        (ChainSpec("winning_streak", n=4), 11, 4.038, 0.14161852245716827, [471, 524, 487, 518]),
         (
             ChainSpec("birth_death", n=4, p=0.25),
             123456789,
-            16.2265,
-            0.556457924362474,
+            17.073,
+            0.6165264697837166,
             [390, 370, 409, 402, 429],
         ),
     ],
@@ -189,12 +191,12 @@ def test_trajectory_refuses_out_of_range_states():
         sample_trajectory(chain, -1, 2, seed=0)
 
 
-# --- the compacted kernel against the full-width loop ----------------------------------
+# --- the vectorized kernel against the scalar loop -------------------------------------
 
 
-def assert_matches_full_width(chain, mu, nu, samples, seed):
+def assert_matches_scalar_loop(chain, mu, nu, samples, seed):
     report = simulate_rule(chain, mu, nu, samples=samples, seed=seed)
-    steps, stopped = full_width_walks(chain.rows, mu.weights, nu.weights, samples, seed)
+    steps, stopped = scalar_walks(chain.rows, mu.weights, nu.weights, samples, seed)
     assert report.mean_t == float(steps.mean())
     assert report.stderr == float(steps.std(ddof=1) / np.sqrt(samples))
     counts = np.bincount(stopped, minlength=chain.size)
@@ -224,5 +226,63 @@ def test_kernel_matches_full_width_loop(spec, seed, samples):
     # nu is uniform, so 1/N of the walks start on their target
     mu = ProbabilityVector(np.arange(1.0, N + 1.0))
     nu = ProbabilityVector(np.ones(N))
-    report = assert_matches_full_width(chain, mu, nu, samples, seed)
+    report = assert_matches_scalar_loop(chain, mu, nu, samples, seed)
     assert 0 < report.useful_steps < report.lattice_rows * samples
+
+
+# --- the out-edge rule and the kernel's law --------------------------------------------
+
+
+class _TopUniform:
+    """A generator that returns its largest uniform, 1 - 2**-53, for one step only."""
+
+    calls = 0
+
+    def random(self, size):
+        self.calls += 1
+        assert self.calls == 1, "the walk stayed put where the chain has no self-loop"
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+def test_rule_never_takes_a_jump_the_chain_cannot_make():
+    chain = build_chain(ChainSpec("complete", n=10))
+    row = chain.rows[10]
+    # the row's rounded sum leaves the top of [0, 1) to a zero diagonal entry
+    assert np.cumsum(row)[-1] == 1.0 - 2.0**-53 and row[10] == 0.0
+    steps, longest = simulate._walk(chain, np.array([10]), np.array([9]), _TopUniform())
+    assert steps.tolist() == [1] and longest == 1
+    assert simulate._draw_law(row, np.array([1.0 - 2.0**-53])).tolist() == [9]
+
+
+def _first_passage_law(chain, start, target, t_max):
+    """P(T = t) for t = 1..t_max: the start row of Q^(t-1) r, Q = P without the target."""
+    keep = np.r_[0:target, target + 1 : chain.size]
+    Q = chain.rows[np.ix_(keep, keep)]
+    r = chain.rows[keep, target]
+    row = (keep == start).astype(float)
+    law = np.empty(t_max)
+    for t in range(t_max):
+        law[t] = row @ r
+        row = row @ Q
+    return law
+
+
+@pytest.mark.parametrize(
+    "spec", [ChainSpec("path", n=4), ChainSpec("birth_death", n=4, p=0.25)], ids=lambda s: s.family
+)
+def test_kernel_step_counts_follow_the_first_passage_law(spec):
+    chain = build_chain(spec)
+    samples = 20_000
+    rng = np.random.Generator(np.random.Philox(key=2024))
+    steps, longest = simulate._walk(
+        chain, np.zeros(samples, dtype=np.intp), np.full(samples, 4), rng
+    )
+    law = _first_passage_law(chain, 0, 4, longest)
+    observed = np.bincount(steps, minlength=longest + 1)[1:]
+    # a step count the chain cannot produce (odd ones on the path) never occurs
+    assert observed[law == 0.0].sum() == 0
+    expected = samples * law
+    kept = expected >= 5.0  # every other count goes to one tail cell
+    f_obs = np.append(observed[kept], samples - observed[kept].sum())
+    f_exp = np.append(expected[kept], samples - expected[kept].sum())
+    assert stats.chisquare(f_obs, f_exp).pvalue > 1e-4

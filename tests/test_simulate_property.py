@@ -1,8 +1,8 @@
-"""Property test: the compacted Monte Carlo kernel against the full-width loop.
+"""Property test: the vectorized Monte Carlo kernel against the scalar loop.
 
 Random small chains and laws, where some walks start on their target,
 must give the same step counts, mean, standard error and stopped law as
-``oracles.full_width_walks`` bit for bit.
+``oracles.scalar_walks`` bit for bit.
 """
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from access_time import ProbabilityVector, TransitionMatrix
-from test_simulate import assert_matches_full_width
+from test_simulate import assert_matches_scalar_loop
 
 
 @st.composite
@@ -43,4 +43,4 @@ def test_kernel_matches_full_width_loop_on_random_chains(data, rows, seed, sampl
     law = st.lists(st.integers(0, 3), min_size=N, max_size=N).filter(any)
     mu = ProbabilityVector(np.array(data.draw(law), dtype=float))
     nu = ProbabilityVector(np.array(data.draw(law), dtype=float))
-    assert_matches_full_width(TransitionMatrix(rows), mu, nu, samples, seed)
+    assert_matches_scalar_loop(TransitionMatrix(rows), mu, nu, samples, seed)

@@ -2,8 +2,9 @@
 
 A dense partial-pivoted LU solve that meets an exactly zero pivot returns
 NaN and inf, and a tridiagonal step time can overflow; ``hitting_time_to``
-turns both into one ``LinAlgError`` naming the target (exit code 3 on the
-command line) rather than handing a bad column to the transport scan.  A
+turns both into a ``LinAlgError`` naming the target and the cause (exit
+code 3 on the command line) rather than handing a bad column to the
+transport scan.  A
 tridiagonal chain has no pivot, so where the LU meets a zero one its
 step-time column is still exact.  And since the
 Kemeny-Snell scan needs sum(mu - nu) = 0, ``transport_scan`` and the matrix
@@ -98,6 +99,20 @@ def test_tridiagonal_overflow_is_refused_not_returned():
     with pytest.raises(np.linalg.LinAlgError, match="target 1"):
         hitting_time_matrix(chain)
     assert np.array_equal(hitting_time_to(chain, 0), [0.0, 2.0])
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_refusal_names_its_cause():
+    # an overflowing step-time column is out of range, not singular
+    chain = TransitionMatrix(np.array([[1.0 - 2.0**-1074, 2.0**-1074], [0.5, 0.5]]))
+    with pytest.raises(
+        np.linalg.LinAlgError, match="^hitting times of target 1 exceed the float range$"
+    ):
+        hitting_time_to(chain, 1)
+    # an exactly zero pivot of the dense LU is a singular system
+    chain = TransitionMatrix(_chain({k: m * 2.0**-e for k, (m, e) in SINGULAR_LU.items()}, 5))
+    with pytest.raises(np.linalg.LinAlgError, match="^singular first-step system for target 3$"):
+        hitting_time_to(chain, 3)
 
 
 #: a 2**-27 exit from state 0 puts hitting times near 1.3e8

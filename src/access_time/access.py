@@ -6,7 +6,7 @@ It reduces to mean hitting times through
 
     H(mu, nu) = max_j sum_i (mu_i - nu_i) E_i[tau_j],
 
-which this module evaluates exactly from the solver (one state reduction,
+which this module evaluates exactly from the solver (the transport scan,
 gated on its error estimate, or the hitting matrix), alongside the
 per-family closed forms and bounds, the symmetric-walk specializations
 through t_av, and formula-versus-solver verification reports.
@@ -58,9 +58,9 @@ class AccessResult:
 
     ``per_target[j] = sum_i (mu_i - nu_i) E_i[tau_j]`` and ``value`` is its
     maximum; ``argmax_target`` is the smallest state index attaining it.
-    ``route`` names the solver that answered: ``"scan"`` (one state
-    reduction, ``error_bound`` its absolute error estimate) or ``"matrix"``
-    (the hitting matrix, ``error_bound`` None).
+    ``route`` names the solver that answered: ``"scan"``
+    (``hitting.transport_scan``, ``error_bound`` its absolute error
+    estimate) or ``"matrix"`` (the hitting matrix, ``error_bound`` None).
     """
 
     value: float
@@ -150,7 +150,8 @@ def access_time(
     d = mu.weights - nu.weights
     if hitting is None:
         scores, bound = transport_scan(P, d)
-        if bound <= SCAN_GATE * max(1.0, abs(float(scores.max()))):
+        # an infinite bound would pass against an infinite score
+        if np.isfinite(bound) and bound <= SCAN_GATE * max(1.0, abs(float(scores.max()))):
             value, argmax = argmax_smallest(scores)
             return AccessResult(value, argmax, scores, route="scan", error_bound=bound)
         hitting = hitting_time_matrix(P)

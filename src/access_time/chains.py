@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 ROW_SUM_HARD_TOL = 1e-9
 WINNING_STREAK_MAX_N = 40  # 2**n exhausts the 53-bit mantissa beyond this
@@ -52,9 +52,6 @@ FAMILIES = (
 GRAPH_WALK_FAMILIES = ("graph", "path", "complete", "star", "hypercube")
 
 DIST_KINDS = ("dirac", "uniform", "binomial", "explicit", "stationary")
-
-#: cut points per chunk of a MomentBundle scan, which bounds its temporaries
-_CUT_CHUNK = 256
 
 
 class ChainSpecError(ValueError):
@@ -246,8 +243,16 @@ class TransitionMatrix:
 
     @cached_property
     def _transition_graph(self) -> csr_matrix:
-        """The pattern p_ij > 0 as a sparse matrix, the one sparsity pass per chain."""
-        return csr_matrix(self.rows > 0)
+        """The pattern p_ij > 0 as a sparse matrix, the one sparsity pass per chain.
+
+        Built from the non-zero columns in row-major order and the row
+        counts, with no coordinate (COO) step.
+        """
+        N = self.size
+        columns = np.nonzero(self.rows)[1]
+        indptr = np.zeros(N + 1, dtype=np.intp)
+        np.cumsum(np.count_nonzero(self.rows, axis=1), out=indptr[1:])
+        return csr_matrix((np.ones(columns.size, dtype=bool), columns, indptr), shape=(N, N))
 
     @cached_property
     def strong_components(self) -> int:
@@ -557,12 +562,17 @@ class MomentBundle:
     The transport closed forms consume exactly these: the mean, the second
     moment, the base-2 probability generating value ``E[2^Z]`` with its
     truncation ``E[2^Z 1{Z <= j}]``, the excess ``E[(Z - j)+]`` and the
-    square spread ``E[max(Z, j)^2 - min(Z, j)^2]``.  Everything is a direct
-    sum over the support; the last three take one cut point j or an array
-    of them, so a scan over every j is one array expression.  The weights
-    may be a signed measure: every functional is linear in them, so the
-    bundle of ``mu - nu`` reads each difference ``E_mu f - E_nu f`` in
-    one scan.
+    square spread ``E[max(Z, j)^2 - min(Z, j)^2]``.  The last three take
+    one cut point j or an array of them.  The (value, weight) pairs are
+    kept in increasing order of value, so each cut point reads
+    k = #{Z <= j} by binary search and combines cumulative sums of a
+    few terms over the support below k or from k on: a scan over every j
+    costs O(support + cuts).  ``pgf2`` is the last of the cumulative sums
+    behind ``truncated_pgf2``, and the sums from k on end in an exact 0,
+    so ``truncated_pgf2(max Z) == pgf2`` and ``excess(max Z) == 0.0``
+    hold exactly.  The weights may be a signed measure: every functional
+    is linear in them, so the bundle of ``mu - nu`` reads each difference
+    ``E_mu f - E_nu f`` in one scan.
     """
 
     values: np.ndarray
@@ -575,8 +585,9 @@ class MomentBundle:
         weights = np.asarray(self.weights, dtype=float)
         if values.shape != weights.shape:
             raise ChainSpecError("labels and weights must align")
-        values = values.copy()
-        weights = weights.copy()
+        order = np.argsort(values, kind="stable")
+        values = values[order]
+        weights = weights[order]
         values.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -593,32 +604,50 @@ class MomentBundle:
     @property
     def pgf2(self) -> float:
         """E[2^Z]."""
-        return float(self.weights @ np.exp2(self.values.astype(float)))
+        return float(_below(self.weights * np.exp2(self.values))[-1])
 
     def truncated_pgf2(self, j):
         """E[2^Z 1{Z <= j}], for one cut point j or an array of them."""
-        return self._per_cut(j, lambda v, j: np.where(v <= j, np.exp2(v.astype(float)), 0.0))
+        return self._per_cut(j, lambda k, j: _below(self.weights * np.exp2(self.values))[k])
 
     def excess(self, j):
         """E[(Z - j)+], for one cut point j or an array of them."""
-        return self._per_cut(j, lambda v, j: np.maximum(v - j, 0).astype(float))
+        w = self.weights
+        return self._per_cut(j, lambda k, j: _onward(w * self.values)[k] - j * _onward(w)[k])
 
     def minmax_sq(self, j):
-        """E[max(Z, j)^2 - min(Z, j)^2], E[|Z^2 - j^2|] for j >= 0; one j or an array."""
+        """E[max(Z, j)^2 - min(Z, j)^2], E[|Z^2 - j^2|] for j >= 0; one j or an array.
+
+        Z^2 - j^2 counts with a plus sign from k on and a minus sign
+        below k, read off the sums below k and the totals.
+        """
+        w = self.weights
+        sq = _below(w * self.values * self.values)
+        mass = _below(w)
         return self._per_cut(
-            j, lambda v, j: np.maximum(v.astype(float), j) ** 2 - np.minimum(v.astype(float), j) ** 2
+            j, lambda k, j: (sq[-1] - 2.0 * sq[k]) + j * (j * (2.0 * mass[k] - mass[-1]))
         )
 
-    def _per_cut(self, j, term):
-        """Weights @ term(values, j): a float for a scalar cut point, else one
-        value per cut point, taken _CUT_CHUNK cut points at a time so every
-        temporary is _CUT_CHUNK x support, not cuts x support."""
+    def _per_cut(self, j, combine):
+        """combine(k, j) at k = #{Z <= j}: a float for a scalar cut point,
+        else one value per cut point, in the shape of j."""
         j = np.asarray(j)
-        if j.ndim == 0:
-            return float(term(self.values, j) @ self.weights)
-        cuts = j.reshape(-1, 1)
-        chunks = np.array_split(cuts, range(_CUT_CHUNK, len(cuts), _CUT_CHUNK))
-        return np.concatenate([term(self.values, c) @ self.weights for c in chunks]).reshape(j.shape)
+        out = combine(np.searchsorted(self.values, j, side="right"), j)
+        return float(out) if j.ndim == 0 else out
+
+
+def _below(terms: np.ndarray) -> np.ndarray:
+    """s[k] = sum_{i<k} terms_i for k = 0..len(terms)."""
+    out = np.zeros(terms.shape[0] + 1)
+    np.cumsum(terms, out=out[1:])
+    return out
+
+
+def _onward(terms: np.ndarray) -> np.ndarray:
+    """s[k] = sum_{i>=k} terms_i for k = 0..len(terms); s[-1] is an exact 0."""
+    out = np.zeros(terms.shape[0] + 1)
+    np.cumsum(terms[::-1], out=out[-2::-1])
+    return out
 
 
 def truncated_moments(dist: ProbabilityVector, labels) -> MomentBundle:
@@ -646,19 +675,13 @@ class ChainDiagnostics:
         return asdict(self)
 
 
-def _chain_period(rows: np.ndarray) -> int:
-    """Period of an irreducible chain: gcd of (level[u] + 1 - level[v]) over edges."""
-    edges = rows > 0
-    level = np.full(rows.shape[0], -1, dtype=np.int64)
-    level[0] = 0
-    frontier = np.array([0])
-    depth = 0
-    while frontier.size:
-        depth += 1
-        frontier = np.flatnonzero(edges[frontier].any(axis=0) & (level < 0))
-        level[frontier] = depth
-    us, vs = np.nonzero(edges)
-    return int(np.gcd.reduce(level[us] + 1 - level[vs]))
+def _chain_period(P: TransitionMatrix) -> int:
+    """Period of an irreducible chain: gcd of (level[u] + 1 - level[v]) over edges,
+    with BFS levels from state 0, all in O(nnz) on the transition graph."""
+    graph = P._transition_graph
+    level = dijkstra(graph, indices=0, unweighted=True).astype(np.int64)
+    us = np.repeat(level, np.diff(graph.indptr))
+    return int(np.gcd.reduce(us + 1 - level[graph.indices]))
 
 
 def validate_chain(P: TransitionMatrix) -> ChainDiagnostics:
@@ -682,7 +705,7 @@ def validate_chain(P: TransitionMatrix) -> ChainDiagnostics:
         pi = stationary_distribution(P)
         db_residual = detailed_balance_residual(P, pi)
         reversible = db_residual <= 1e-10
-        period = _chain_period(rows)
+        period = _chain_period(P)
         aperiodic = period == 1
     return ChainDiagnostics(
         row_sum_residual=residual,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -343,7 +344,9 @@ def cmd_simulate(args) -> int:
     return 0 if report.consistent else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="access-time",
         description="Optimal transport times of finite Markov chains via exact hitting times.",

@@ -17,9 +17,14 @@ O(N); every other chain is factored densely with partial-pivoted LU, in
 O(N^3).  Desk-scale by design; the state-count ceiling is
 ``chains.dense_size_cap()``.
 
-The blocked state reduction behind ``stationary_distribution`` also
-factors the first-step system grounded at state 0, L' = U diag(s) Lo
-(``_grounded_factors``), and two routes read those factors:
+A tridiagonal chain never reaches the O(N^3) state reduction: its
+stationary law comes from detailed-balance ratios
+pi_{k+1} / pi_k = p_{k,k+1} / p_{k+1,k}, and ``transport_scan`` reads
+d @ M off two cumulative sums of d against the step times, both in
+O(N).  On every other chain the blocked state reduction behind
+``stationary_distribution`` also factors the first-step system grounded
+at state 0, L' = U diag(s) Lo (``_grounded_factors``), and two routes
+read those factors:
 
 - ``transport_scan``: for d = mu - nu, which sums to 0, the Kemeny-Snell
   identity reads (d @ M)_j = d.h0 - y_j / pi_j, with y (I - P) = d,
@@ -67,6 +72,9 @@ FLOAT_FMT = "%.17g"
 STATIONARY_PANEL = 64
 #: rows per chunk of the panel's GEMM update, which bounds its temporary
 _GEMM_ROWS = 256
+#: mantissa ratios, each in (1/2, 2), per running product of the
+#: detailed-balance law: 2^512 is far inside the float range
+_BALANCE_BLOCK = 512
 #: a column of the one-reduction hitting matrix whose certificate exceeds
 #: this is solved again per target; a decade inside the 1e-9 tolerance of
 #: the closed-form checks, where 1e-12 would refuse every column of the
@@ -199,19 +207,22 @@ def _tridiagonal_column(P: TransitionMatrix, target: int) -> np.ndarray:
 
 
 def _dense_column(P: TransitionMatrix, target: int) -> np.ndarray:
-    """The first-step system without the target's row and column, LU-factored densely."""
-    N = P.size
-    keep = np.r_[0:target, target + 1 : N]
-    # gathered through P.rows.T, A is Fortran-ordered, so LAPACK factors it in place
-    A = P.rows.T[np.ix_(keep, keep)].T
-    np.negative(A, out=A)
+    """The first-step system with the target's row and column pinned to the identity.
+
+    One Fortran-ordered copy of the N x N system, factored in place by
+    LAPACK: row and column ``target`` read as the identity with a zero
+    right-hand side, so h_target = 0 and the other rows are those of the
+    system without the target, with no (N-1) x (N-1) gather.
+    """
+    A = np.negative(P.rows, order="F")
     np.fill_diagonal(A, 0.0)
-    # A holds -p_ik, so this adds the kept off-diagonal rates to p_i,target
-    np.fill_diagonal(A, P.rows[keep, target] - A.sum(axis=1))
-    h = lu_solve(lu_factor(A, overwrite_a=True), np.ones(N - 1))
-    out = np.zeros(N)
-    out[keep] = h
-    return out
+    np.fill_diagonal(A, -A.sum(axis=1))  # the off-diagonal rates of each row, p_i,target too
+    A[target, :] = 0.0
+    A[:, target] = 0.0
+    A[target, target] = 1.0
+    b = np.ones(P.size)
+    b[target] = 0.0
+    return lu_solve(lu_factor(A, overwrite_a=True), b, overwrite_b=True)
 
 
 def hitting_time_matrix(P: TransitionMatrix) -> HittingTimeMatrix:
@@ -297,15 +308,50 @@ def _reduced_stationary(A: np.ndarray) -> ProbabilityVector:
 
 
 def stationary_distribution(P: TransitionMatrix) -> ProbabilityVector:
-    """Invariant law of an irreducible chain via blocked state reduction.
+    """Invariant law of an irreducible chain.
 
-    ``_state_reduction`` folds the states, then the back-substitution
-    x_0 = 1, x_k = sum_{i<k} x_i a_ik gives pi up to normalization.  As
-    nothing is ever subtracted, each entry of pi keeps a small relative
+    A tridiagonal chain is reversible, and ``_balance_law`` reads pi off
+    its detailed-balance ratios in O(N).  Every other chain goes through
+    ``_state_reduction``, then the back-substitution x_0 = 1,
+    x_k = sum_{i<k} x_i a_ik gives pi up to normalization.  Neither
+    route ever subtracts, so each entry of pi keeps a small relative
     error, however stiff the rates, and the residual of pi P = pi stays
     near machine precision.
     """
+    if _is_tridiagonal(P):
+        return _balance_law(P)
     return _reduced_stationary(_state_reduction(P))
+
+
+def _balance_law(P: TransitionMatrix) -> ProbabilityVector:
+    """pi of a tridiagonal chain from pi_{k+1} / pi_k = p_{k,k+1} / p_{k+1,k}, in O(N).
+
+    Each rate is split as m 2^e with m in [1/2, 1), so a ratio of
+    mantissas lies in (1/2, 2) and the exponents add up as integers.  A
+    running product of ``_BALANCE_BLOCK`` mantissa ratios stays inside
+    the float range, and every block restarts from a mantissa in
+    [1/2, 1), so no partial product overflows or underflows.  Only the
+    final scaling, which puts the largest weight in [1/2, 1), can flush
+    a weight below 2^-1074 of it to zero.  Up to normalization, weight k
+    is a product of at most 2k + 1 correctly rounded operations, so pi
+    keeps a relative error of order N eps entrywise.
+    """
+    _require_solvable(P)
+    N = P.size
+    ahead, e_ahead = np.frexp(np.diagonal(P.rows, 1))  # p_{k,k+1}
+    behind, e_behind = np.frexp(np.diagonal(P.rows, -1))  # p_{k+1,k}
+    ratio = ahead / behind
+    mantissa = np.ones(N)
+    exponent = np.zeros(N, dtype=np.int64)
+    np.cumsum(e_ahead - e_behind, out=exponent[1:])
+    for lo in range(0, N - 1, _BALANCE_BLOCK):
+        hi = min(lo + _BALANCE_BLOCK, N - 1)
+        mantissa[lo], shift = np.frexp(mantissa[lo])
+        exponent[lo:] += shift
+        mantissa[lo + 1 : hi + 1] = mantissa[lo] * np.cumprod(ratio[lo:hi])
+    mantissa, shift = np.frexp(mantissa)
+    exponent += shift
+    return ProbabilityVector(np.ldexp(mantissa, exponent - exponent.max()))
 
 
 def zero_sum(d: np.ndarray) -> np.ndarray:
@@ -353,19 +399,23 @@ def _grounded_factors(P: TransitionMatrix) -> tuple[functools.partial, np.ndarra
 def transport_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, float]:
     """The per-target scan d @ M of a difference of laws, and its absolute error estimate.
 
-    Reads (d @ M)_j = d.h0 - y_j / pi_j (Kemeny-Snell) off one
-    ``_state_reduction``, never forming M.  Here y (I - P) = d with
-    y_0 = 0, and h0 is the hitting column to state 0; the identity needs
-    sum(d) = 0, so d goes through ``zero_sum`` first, as on the matrix
-    route.  With the grounded factors L' = U diag(s) Lo of
-    ``_grounded_factors``, h0 = L'^-1 1, and with d split into
-    d+ = max(d, 0) and d- = max(-d, 0), y = (d+ - d-) L'^-1.
+    d goes through ``zero_sum`` first, as on the matrix route, and M is
+    never formed.  A tridiagonal chain reads the scan off two cumulative
+    sums of d (``_tridiagonal_scan``), in O(N).  Every other chain reads
+    (d @ M)_j = d.h0 - y_j / pi_j (Kemeny-Snell) off one
+    ``_state_reduction``.  Here y (I - P) = d with y_0 = 0, and h0 is
+    the hitting column to state 0; the identity needs sum(d) = 0.  With
+    the grounded factors L' = U diag(s) Lo of ``_grounded_factors``,
+    h0 = L'^-1 1, and with d split into d+ = max(d, 0) and
+    d- = max(-d, 0), y = (d+ - d-) L'^-1.
 
     Every solve adds products of non-negative numbers, so the only
     cancellation is in the final difference, and eps times the sum of
     the magnitudes that meet there bounds its error.
     """
     d = zero_sum(d)
+    if _is_tridiagonal(P):
+        return _tridiagonal_scan(P, d)
     solve, s, pi = _grounded_factors(P)
     N = s.shape[0]
     r = solve(np.ones(N))
@@ -381,6 +431,34 @@ def transport_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, floa
     per_target = (hp - hm) - (a - b)
     err = float(EPS * ((a + b).max() + hp + hm))
     return per_target, err
+
+
+def _tridiagonal_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, float]:
+    """d @ M of a tridiagonal chain from its step times, in O(N), and its error estimate.
+
+    A walk between i and j crosses every edge between them, so with
+    (up, down) = ``P.step_times``, C_k = sum_{i<=k} d_i and
+    T_k = sum_{i>k} d_i,
+
+        (d @ M)_j = sum_{k<j} up_k C_k + sum_{k>=j} down_k T_k.
+
+    The same two sums over |d| give, per target, the magnitudes that
+    meet in its score; the estimate is 4 eps times the largest.  It
+    leaves out the step times' own rounding, up to 3N u relative, so it
+    estimates the error rather than bounding it, as on the dense route.
+    """
+    _require_solvable(P)
+    up, down = P.step_times
+
+    def scan(x: np.ndarray) -> np.ndarray:
+        head = np.cumsum(x[:-1])  # C_k, k = 0..N-2
+        tail = np.cumsum(x[:0:-1])[::-1]  # T_k
+        out = np.zeros(x.shape[0])
+        np.cumsum(up * head, out=out[1:])
+        out[:-1] += np.cumsum((down * tail)[::-1])[::-1]
+        return out
+
+    return scan(d), float(4 * EPS * scan(np.abs(d)).max())
 
 
 def _grounded_matrix(P: TransitionMatrix) -> np.ndarray:
@@ -445,9 +523,16 @@ def _column_bounds(L: np.ndarray, H: np.ndarray, targets: np.ndarray) -> np.ndar
 
 
 def detailed_balance_residual(P: TransitionMatrix, pi: ProbabilityVector) -> float:
-    """max_ij |pi_i p_ij - pi_j p_ji|, zero for reversible chains."""
-    flow = pi.weights[:, None] * P.rows
-    return float(np.abs(flow - flow.T).max())
+    """max_ij |pi_i p_ij - pi_j p_ji|, zero for reversible chains.
+
+    A pair with p_ij = p_ji = 0 adds 0, and (j, i) repeats (i, j), so
+    the maximum runs over the pattern p_ij > 0 alone, in O(nnz).
+    """
+    graph = P._transition_graph
+    i = np.repeat(np.arange(P.size), np.diff(graph.indptr))
+    j = graph.indices
+    w = pi.weights
+    return float(np.abs(w[i] * P.rows[i, j] - w[j] * P.rows[j, i]).max(initial=0.0))
 
 
 def max_hitting_time(

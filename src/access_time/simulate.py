@@ -37,6 +37,12 @@ from .hitting import HittingTimeMatrix, _require_solvable, hitting_time_matrix
 
 MIN_SAMPLES = 1000
 
+#: entries of the (K - 1) x m comparison table one step gathers at once:
+#: walks are compared in blocks of this many entries, 2 MiB of floats, so a
+#: dense chain's step never gathers N x m; chains of at most 10 out-edges
+#: compare up to 29,127 walks in one block
+_GATHER_ENTRIES = 1 << 18
+
 #: refuse a run whose expected total walk length samples * E[T] exceeds this
 #: many steps: a stiff chain (birth_death n=4 at p = 1e-9 needs ~1e10 steps
 #: per walk) would otherwise run for days instead of failing
@@ -118,11 +124,15 @@ def _walk(
 
     Every step draws ``rng.random(m)`` for the m walks still moving, in
     increasing index, and moves each one out-edge; a walk leaves the
-    working set the step it hits its target.
+    working set the step it hits its target.  The walks are compared in
+    blocks of at most ``_GATHER_ENTRIES // (K - 1)``, so a step's gathered
+    table stays under ``_GATHER_ENTRIES`` entries; blocking leaves the
+    draws, and so the trajectories, as they are.
     """
     dest, bins = _out_edges(P.rows)
     K = dest.shape[1]
     dest = dest.ravel()  # dest[i * K + c] is row i's out-edge c
+    block = max(1, _GATHER_ENTRIES // max(1, K - 1))
     steps = np.zeros(current.size, dtype=np.int64)
     idx = np.flatnonzero(current != targets)  # the walks still moving
     cur, tgt = current[idx], targets[idx]
@@ -130,7 +140,9 @@ def _walk(
     while idx.size:
         u = rng.random(idx.size)
         t += 1
-        cur = dest[cur * K + (bins.take(cur, axis=1) <= u).sum(axis=0)]
+        for lo in range(0, idx.size, block):
+            c = cur[lo : lo + block]  # a view: the block moves in place
+            c[:] = dest[c * K + (bins.take(c, axis=1) <= u[lo : lo + block]).sum(axis=0)]
         hit = cur == tgt
         if hit.any():
             steps[idx[hit]] = t

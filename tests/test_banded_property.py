@@ -4,7 +4,13 @@ The chains are tridiagonal to heptadiagonal with stiff dyadic rates.
 Tridiagonal ones take the step-time recurrence of ``hitting_time_to`` and
 must meet its entrywise a priori bound at every target; wider ones take
 the dense LU and must meet the normwise bound of a backward-stable solve.
+On tridiagonal chains the detailed-balance law and the cumulative-sum
+transport scan must meet their a priori bounds too, with no state
+reduction.
 """
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -12,8 +18,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from access_time import TransitionMatrix, hitting_time_matrix, hitting_time_to
-from oracles import fraction_hitting_matrix
+from access_time import (
+    TransitionMatrix,
+    hitting,
+    hitting_time_matrix,
+    hitting_time_to,
+    stationary_distribution,
+    transport_scan,
+)
+from oracles import fraction_hitting_matrix, fraction_stationary
 from test_hitting import assert_within_column_bounds
 from test_stationary_property import RATE
 
@@ -91,3 +104,34 @@ def test_tridiagonal_matrix_meets_its_a_priori_bound(rows):
     M = hitting_time_matrix(chain)
     assert np.array_equal(M.column_bound, np.full(N, 3 * N * EPS))
     assert_within_column_bounds(M.values, fraction_hitting_matrix(rows), M.column_bound)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=stiff_tridiagonal_chains(), data=st.data())
+def test_tridiagonal_law_and_scan_meet_their_a_priori_bounds(rows, data):
+    """Weight k of pi is 2k + 1 roundings from the ratios, and the sum and
+    division of the normalization add N, so pi is within 2 N eps entrywise.
+    A score adds up to (5N - 5) u: the step times' 3N, the cumulative sums
+    of d and of the products, each term rounded in proportion to its
+    magnitude, so score j is within 3 N eps (|d| @ M)_j."""
+    chain = TransitionMatrix(rows)
+    N = chain.size
+    # 16 unit masses: the weights are dyadic, so mu - nu is exact and sums to 0
+    masses = st.lists(st.integers(0, N - 1), min_size=16, max_size=16)
+    mu = np.bincount(data.draw(masses), minlength=N) / 16.0
+    nu = np.bincount(data.draw(masses), minlength=N) / 16.0
+    refuse = mock.Mock(side_effect=AssertionError("state reduction on a tridiagonal chain"))
+    with mock.patch.object(hitting, "_state_reduction", refuse):
+        pi = stationary_distribution(chain).weights
+        scores, err = transport_scan(chain, mu - nu)
+    eps = Fraction(EPS)
+    for got, exact in zip(pi.tolist(), fraction_stationary(rows)):
+        assert abs(Fraction(got) - exact) <= 2 * N * eps * exact
+    E = fraction_hitting_matrix(rows)
+    d = [Fraction(a) - Fraction(b) for a, b in zip(mu.tolist(), nu.tolist())]
+    exact = [sum(d[i] * E[i][j] for i in range(N)) for j in range(N)]
+    slack = [3 * N * eps * sum(abs(d[i]) * E[i][j] for i in range(N)) for j in range(N)]
+    for got, value, bound in zip(scores.tolist(), exact, slack):
+        assert abs(Fraction(got) - value) <= bound
+    assert abs(Fraction(float(scores.max())) - max(exact)) <= max(slack)
+    assert 0.0 <= err < np.inf

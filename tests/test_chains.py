@@ -427,10 +427,8 @@ def test_validate_disconnected_blocks():
 # --- moment scans over many cut points --------------------------------------
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 256])
 @pytest.mark.parametrize("labels", [np.arange(9), np.arange(1, 31)])
-def test_moment_bundle_array_cuts_match_direct_sums(labels, chunk, rng, monkeypatch):
-    monkeypatch.setattr(chains, "_CUT_CHUNK", chunk)  # cross several chunks of cut points
+def test_moment_bundle_array_cuts_match_direct_sums(labels, rng):
     m = truncated_moments(ProbabilityVector(rng.dirichlet(np.ones(labels.size))), labels)
     pairs = list(zip(m.values.tolist(), m.weights.tolist()))
     cuts = np.arange(labels.min() - 1, labels.max() + 2)

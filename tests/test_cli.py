@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from access_time.chains import ChainSpecError
-from access_time.cli import main, parse_dist_shorthand
+from access_time.cli import build_parser, main, parse_dist_shorthand
 
 
 def run_cli(capsys, *argv):
@@ -440,3 +440,20 @@ def test_compute_malformed_distribution_file_exits_2(capsys, tmp_path, spec):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+def test_parser_is_built_once_and_reused_unchanged(capsys):
+    argv = ["compute", "--chain", '{"family":"path","n":6}', "--mu", "dirac:0", "--nu", "uniform"]
+    first = run_cli(capsys, *argv)
+    second = run_cli(capsys, *argv)
+    assert first == second and first[0] == 0
+    assert build_parser() is build_parser()
+
+
+def test_argparse_error_leaves_the_next_call_unaffected(capsys):
+    argv = ["compute", "--chain", '{"family":"path","n":6}', "--mu", "dirac:0", "--nu", "uniform"]
+    clean = run_cli(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--bogus", "1"])
+    assert exc.value.code == 2 and "--bogus" in capsys.readouterr().err
+    assert run_cli(capsys, *argv) == clean

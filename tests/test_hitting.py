@@ -483,16 +483,15 @@ def test_reducible_chain_refused_by_every_solve():
 
 def dense_reference_column(P, target):
     """The dense per-target first-step solve, verbatim, as the wide route's reference."""
-    N = P.size
-    keep = np.r_[0:target, target + 1 : N]
-    A = P.rows.T[np.ix_(keep, keep)].T
-    np.negative(A, out=A)
+    A = np.negative(P.rows, order="F")
     np.fill_diagonal(A, 0.0)
-    np.fill_diagonal(A, P.rows[keep, target] - A.sum(axis=1))
-    h = lu_solve(lu_factor(A, overwrite_a=True), np.ones(N - 1))
-    out = np.zeros(N)
-    out[keep] = h
-    return out
+    np.fill_diagonal(A, -A.sum(axis=1))
+    A[target, :] = 0.0
+    A[:, target] = 0.0
+    A[target, target] = 1.0
+    b = np.ones(P.size)
+    b[target] = 0.0
+    return lu_solve(lu_factor(A, overwrite_a=True), b, overwrite_b=True)
 
 
 @pytest.mark.parametrize("p", [0.5, 0.2, 1e-12])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -286,3 +288,28 @@ def test_kernel_step_counts_follow_the_first_passage_law(spec):
     f_obs = np.append(observed[kept], samples - observed[kept].sum())
     f_exp = np.append(expected[kept], samples - expected[kept].sum())
     assert stats.chisquare(f_obs, f_exp).pvalue > 1e-4
+
+
+class _ZeroUniform:
+    """A generator whose every uniform is 0, so each walk takes its first out-edge."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+def test_dense_step_gathers_a_bounded_table():
+    chain = build_chain(ChainSpec("complete", n=400))
+    walks = 20_000
+    # from state 0 the first out-edge is state 1: every walk stops after one step
+    tracemalloc.start()
+    try:
+        steps, longest = simulate._walk(
+            chain, np.zeros(walks, dtype=np.intp), np.ones(walks, dtype=np.intp), _ZeroUniform()
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert longest == 1 and np.all(steps == 1)
+    # building the 401-state out-edge table peaks at 7.4 MiB; one gather of
+    # all 20,000 walks would add 399 x 20,000 floats, 61 MiB
+    assert peak <= 12 * 2**20

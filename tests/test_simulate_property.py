@@ -2,8 +2,11 @@
 
 Random small chains and laws, where some walks start on their target,
 must give the same step counts, mean, standard error and stopped law as
-``oracles.scalar_walks`` bit for bit.
+``oracles.scalar_walks`` bit for bit, whatever blocks the kernel compares
+its walks in.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from access_time import ProbabilityVector, TransitionMatrix
+from access_time import ProbabilityVector, TransitionMatrix, simulate
 from test_simulate import assert_matches_scalar_loop
 
 
@@ -37,10 +40,12 @@ def small_chains(draw):
     rows=small_chains(),
     seed=st.integers(0, 2**32 - 1),
     samples=st.integers(1_000, 1_500),
+    gather=st.sampled_from([60, 1000, simulate._GATHER_ENTRIES]),
 )
-def test_kernel_matches_full_width_loop_on_random_chains(data, rows, seed, samples):
+def test_kernel_matches_full_width_loop_on_random_chains(data, rows, seed, samples, gather):
     N = rows.shape[0]
     law = st.lists(st.integers(0, 3), min_size=N, max_size=N).filter(any)
     mu = ProbabilityVector(np.array(data.draw(law), dtype=float))
     nu = ProbabilityVector(np.array(data.draw(law), dtype=float))
-    assert_matches_scalar_loop(TransitionMatrix(rows), mu, nu, samples, seed)
+    with mock.patch.object(simulate, "_GATHER_ENTRIES", gather):
+        assert_matches_scalar_loop(TransitionMatrix(rows), mu, nu, samples, seed)

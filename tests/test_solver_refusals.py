@@ -99,6 +99,10 @@ def test_tridiagonal_overflow_is_refused_not_returned():
     with pytest.raises(np.linalg.LinAlgError, match="target 1"):
         hitting_time_matrix(chain)
     assert np.array_equal(hitting_time_to(chain, 0), [0.0, 2.0])
+    # an infinite scan is no answer either: the matrix route refuses it
+    mu, nu = ProbabilityVector(np.array([1.0, 0.0])), ProbabilityVector(np.array([0.0, 1.0]))
+    with pytest.raises(np.linalg.LinAlgError, match="target 1"):
+        access_time(chain, mu, nu)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")

@@ -24,6 +24,7 @@ from access_time import (
     access,
     access_time,
     build_chain,
+    hitting,
     hitting_time_matrix,
     transport_scan,
 )
@@ -152,6 +153,24 @@ def test_compute_builds_no_hitting_matrix(capsys):
     assert payload["value"] == pytest.approx(256.0**2, rel=1e-12)
     assert payload["argmax_target"] == 256
     assert payload["family_report"]["discrepancy"] <= 1e-9 * 256.0**2
+
+
+def test_compute_on_a_tridiagonal_chain_never_reduces_the_states(capsys):
+    refuse = mock.Mock(side_effect=AssertionError("state reduction on a tridiagonal chain"))
+    argv = ["compute", "--chain", '{"family":"path","n":512}', "--mu", "stationary",
+            "--nu", "dirac:0", "--closed-form"]
+    with mock.patch.object(hitting, "_state_reduction", refuse):
+        code = main(argv)
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and not refuse.called
+    # pi_i = deg(i) / 2n and E_i[tau_0] = 2 n i - i^2, so H(pi, delta_0) = E_pi[tau_0]
+    n = 512
+    degree = np.r_[1, np.full(n - 1, 2), 1]
+    i = np.arange(n + 1)
+    expected = float(degree @ (2 * n * i - i * i)) / (2 * n)
+    assert payload["value"] == pytest.approx(expected, rel=1e-12)
+    assert payload["argmax_target"] == 0
+    assert payload["family_report"]["discrepancy"] <= 1e-9 * expected
 
 
 def test_scan_peak_memory_is_a_few_state_tables(rng):

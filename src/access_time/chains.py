@@ -20,6 +20,13 @@ chain families with known closed-form transport behaviour:
 
 All constructors are pure and their outputs immutable, so values can be
 shared freely across threads.
+
+Each chain scans its rows for non-zeros once, on first use, into a
+row-major edge list (``TransitionMatrix._edges``), and every reader of
+the sparsity pattern reads that list: the strong components and the
+period (through a sparse matrix built on it), the bandwidth, the
+detailed-balance residual, the certificate of the hitting matrix and the
+Monte Carlo out-edge table.
 """
 from __future__ import annotations
 
@@ -202,8 +209,8 @@ class TransitionMatrix:
     Irreducibility is not enforced here (``validate_chain`` can diagnose a
     reducible matrix), but every generated family is irreducible and the
     solver operations refuse reducible chains.  The strong-component count
-    behind both is computed once per chain, on first use, from the same
-    sparsity pattern that gives the chain's ``bandwidth``.
+    behind both is computed once per chain, on first use, from the edge
+    list that also gives the chain's ``bandwidth``.
     """
 
     rows: np.ndarray
@@ -242,17 +249,21 @@ class TransitionMatrix:
         return self.spec.family if self.spec is not None else None
 
     @cached_property
-    def _transition_graph(self) -> csr_matrix:
-        """The pattern p_ij > 0 as a sparse matrix, the one sparsity pass per chain.
-
-        Built from the non-zero columns in row-major order and the row
-        counts, with no coordinate (COO) step.
-        """
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pattern p_ij > 0 as edge arrays (src, dst) in row-major order, so each
+        row's columns ascend: the one scan of the rows per chain.  int32 while a
+        flat index N i + j fits, that is up to 46,340 states."""
         N = self.size
-        columns = np.nonzero(self.rows)[1]
-        indptr = np.zeros(N + 1, dtype=np.intp)
-        np.cumsum(np.count_nonzero(self.rows, axis=1), out=indptr[1:])
-        return csr_matrix((np.ones(columns.size, dtype=bool), columns, indptr), shape=(N, N))
+        flat = np.flatnonzero(self.rows > 0).astype(np.int32 if N * N < 2**31 else np.intp)
+        src = flat // N
+        return src, flat - src * N
+
+    @property
+    def _transition_graph(self) -> csr_matrix:
+        """The edges as the sparse matrix ``scipy.sparse.csgraph`` reads, built on use."""
+        src, dst = self._edges
+        indptr = np.searchsorted(src, np.arange(self.size + 1))
+        return csr_matrix((np.ones(dst.size, dtype=bool), dst, indptr), shape=(self.size,) * 2)
 
     @cached_property
     def strong_components(self) -> int:
@@ -264,9 +275,8 @@ class TransitionMatrix:
     def bandwidth(self) -> tuple[int, int]:
         """Off-diagonal bandwidth (l, u): the farthest one step reaches below
         and above the diagonal, max(i - j) and max(j - i) over p_ij > 0."""
-        graph = self._transition_graph
-        sources = np.repeat(np.arange(self.size), np.diff(graph.indptr))
-        offsets = graph.indices - sources
+        src, dst = self._edges
+        offsets = dst - src
         return -int(offsets.min(initial=0)), int(offsets.max(initial=0))
 
     @cached_property
@@ -678,10 +688,9 @@ class ChainDiagnostics:
 def _chain_period(P: TransitionMatrix) -> int:
     """Period of an irreducible chain: gcd of (level[u] + 1 - level[v]) over edges,
     with BFS levels from state 0, all in O(nnz) on the transition graph."""
-    graph = P._transition_graph
-    level = dijkstra(graph, indices=0, unweighted=True).astype(np.int64)
-    us = np.repeat(level, np.diff(graph.indptr))
-    return int(np.gcd.reduce(us + 1 - level[graph.indices]))
+    src, dst = P._edges
+    level = dijkstra(P._transition_graph, indices=0, unweighted=True).astype(np.int64)
+    return int(np.gcd.reduce(level[src] + 1 - level[dst]))
 
 
 def validate_chain(P: TransitionMatrix) -> ChainDiagnostics:

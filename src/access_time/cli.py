@@ -179,6 +179,13 @@ def _family_spec(family: str, n: int, p: float) -> ChainSpec:
     return ChainSpec(family, n=n, p=p if family == "birth_death" else None)
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """The generator of ``--seed``, a non-negative integer."""
+    if seed < 0:
+        raise ChainSpecError(f"--seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _random_pair(rng: np.random.Generator, N: int) -> tuple[ProbabilityVector, ProbabilityVector]:
     return (
         ProbabilityVector(rng.dirichlet(np.ones(N))),
@@ -197,7 +204,7 @@ def cmd_verify(args) -> int:
     if not 0.0 <= args.tol < np.inf:  # NaN fails every comparison
         raise ChainSpecError(f"--tol must be finite and non-negative, got {args.tol}")
     ns = _parse_n_list(args.n)
-    rng = np.random.default_rng(args.seed)
+    rng = _seeded_rng(args.seed)
     rows = []
     counts = {"PASS": 0, "ERRATUM": 0, "FAIL": 0}
     for n in ns:
@@ -303,7 +310,7 @@ def cmd_scale(args) -> int:
             "bound inherits the downhill branch defect and cannot be guaranteed "
             "to sit below the solver value (see README)"
         )
-    rng = np.random.default_rng(args.seed)
+    rng = _seeded_rng(args.seed)
     rows = []
     for family in families:
         for n in ns:

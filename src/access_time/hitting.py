@@ -7,14 +7,19 @@ target j the column (E_i[tau_j])_i solves the first-step system
 
 which reads, like the stationary reduction, only the off-diagonal rates:
 the diagonal is the row's off-diagonal sum, never 1 - p_ii, so a chain
-that mostly holds in place loses no digits to cancellation.  One target
-(``hitting_time_to``) is solved once the chain has said it is
-irreducible, a verdict it computes once and keeps.  On a tridiagonal
-chain, such as the path and the birth-death chain, column j is two
-cumulative sums, one on either side of j, of the step times
+that mostly holds in place loses no digits to cancellation.  Every solve
+first asks the chain's edge list (``TransitionMatrix._edges``, one scan
+of its rows) whether the chain is irreducible and whether one step moves
+at most one state; both verdicts are computed once and kept.  On a
+tridiagonal chain, such as the path and the birth-death chain, column j
+is two cumulative sums, one on either side of j, of the step times
 ``TransitionMatrix.step_times`` from a subtraction-free recurrence, in
 O(N); every other chain is factored densely with partial-pivoted LU, in
-O(N^3).  Desk-scale by design; the state-count ceiling is
+O(N^3).  A column is refused as singular only where the LU meets an
+exactly zero pivot, and as past the float range where it is otherwise
+not finite; arithmetic whose non-finite result is refused runs with
+NumPy's floating-point warnings off, so a refusal prints one message.
+Desk-scale by design; the state-count ceiling is
 ``chains.dense_size_cap()``.
 
 A tridiagonal chain never reaches the O(N^3) state reduction: its
@@ -52,7 +57,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, solve_triangular
+from scipy.linalg import lu_solve, solve_triangular
+from scipy.linalg.lapack import dgetrf
 
 from .chains import (
     ChainSpecError,
@@ -160,10 +166,10 @@ def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
     down_{i-1} above it, with the step times of ``P.step_times``, read
     once per chain; two cumulative sums, O(N), no subtraction and no
     pivot.  Every other chain is factored densely with partial-pivoted
-    LU, in O(N^3).  A non-finite column raises ``LinAlgError`` naming the
-    target and the cause: hitting times past the float range on the
-    tridiagonal route, a singular system (an exactly zero LU pivot) on the
-    dense one.
+    LU, in O(N^3).  A refused column raises ``LinAlgError`` naming the
+    target and the cause: a singular system where the dense LU meets an
+    exactly zero pivot, and hitting times past the float range where the
+    column is otherwise not finite.
 
     Parameters
     ----------
@@ -181,14 +187,9 @@ def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
     N = P.size
     if not 0 <= target < N:
         raise ChainSpecError(f"target index {target} out of range for {N} states")
-    if _is_tridiagonal(P):
-        h = _tridiagonal_column(P, target)
-        fault = f"hitting times of target {target} exceed the float range"
-    else:
-        h = _dense_column(P, target)
-        fault = f"singular first-step system for target {target}"
+    h = _tridiagonal_column(P, target) if _is_tridiagonal(P) else _dense_column(P, target)
     if not np.isfinite(h).all():
-        raise np.linalg.LinAlgError(fault)
+        raise np.linalg.LinAlgError(f"hitting times of target {target} exceed the float range")
     return h
 
 
@@ -212,7 +213,10 @@ def _dense_column(P: TransitionMatrix, target: int) -> np.ndarray:
     One Fortran-ordered copy of the N x N system, factored in place by
     LAPACK: row and column ``target`` read as the identity with a zero
     right-hand side, so h_target = 0 and the other rows are those of the
-    system without the target, with no (N-1) x (N-1) gather.
+    system without the target, with no (N-1) x (N-1) gather.  LAPACK's
+    ``getrf`` factors it, the routine behind ``scipy.linalg.lu_factor``
+    without its warning; an exactly zero pivot raises ``LinAlgError``, as
+    the system is singular.
     """
     A = np.negative(P.rows, order="F")
     np.fill_diagonal(A, 0.0)
@@ -220,9 +224,12 @@ def _dense_column(P: TransitionMatrix, target: int) -> np.ndarray:
     A[target, :] = 0.0
     A[:, target] = 0.0
     A[target, target] = 1.0
+    lu, piv, info = dgetrf(A, overwrite_a=True)  # info > 0: U has an exactly zero pivot
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular first-step system for target {target}")
     b = np.ones(P.size)
     b[target] = 0.0
-    return lu_solve(lu_factor(A, overwrite_a=True), b, overwrite_b=True)
+    return lu_solve((lu, piv), b, overwrite_b=True)
 
 
 def hitting_time_matrix(P: TransitionMatrix) -> HittingTimeMatrix:
@@ -248,12 +255,12 @@ def hitting_time_matrix(P: TransitionMatrix) -> HittingTimeMatrix:
             values[:, j] = hitting_time_to(P, j)
         return HittingTimeMatrix(values, P.labels, column_bound=np.full(N, 3 * N * EPS))
     values = _grounded_matrix(P)
-    L = _first_step_matrix(P)
-    bound = _column_bounds(L, values, np.arange(N))
+    bound = _column_bounds(P, values, np.arange(N))
     refused = np.flatnonzero(~(bound <= CERT_GATE))  # a NaN bound compares false
     for j in refused:
         values[:, j] = hitting_time_to(P, j)
-    bound[refused] = _column_bounds(L, values[:, refused], refused)
+    if refused.size:
+        bound[refused] = _column_bounds(P, values[:, refused], refused)
     return HittingTimeMatrix(values=values, labels=P.labels, column_bound=bound)
 
 
@@ -396,6 +403,7 @@ def _grounded_factors(P: TransitionMatrix) -> tuple[functools.partial, np.ndarra
     return solve, s, pi
 
 
+@np.errstate(all="ignore")  # a non-finite result is refused, not warned about
 def transport_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, float]:
     """The per-target scan d @ M of a difference of laws, and its absolute error estimate.
 
@@ -461,6 +469,7 @@ def _tridiagonal_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, f
     return scan(d), float(4 * EPS * scan(np.abs(d)).max())
 
 
+@np.errstate(all="ignore")  # a non-finite result is refused, not warned about
 def _grounded_matrix(P: TransitionMatrix) -> np.ndarray:
     """All-pairs hitting times from one state reduction, by Kemeny-Snell.
 
@@ -487,36 +496,36 @@ def _grounded_matrix(P: TransitionMatrix) -> np.ndarray:
     return M
 
 
-def _first_step_matrix(P: TransitionMatrix) -> np.ndarray:
-    """L with L_ik = -p_ik off the diagonal and L_ii = sum_{k != i} p_ik."""
-    L = np.negative(P.rows)
-    np.fill_diagonal(L, 0.0)
-    np.fill_diagonal(L, -L.sum(axis=1))
-    return L
-
-
-def _column_bounds(L: np.ndarray, H: np.ndarray, targets: np.ndarray) -> np.ndarray:
+@np.errstate(all="ignore")  # a non-finite result is refused, not warned about
+def _column_bounds(P: TransitionMatrix, H: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """The residual certificate b of each column H[:, c], the column to ``targets[c]``.
 
-    For target j, L_j (L without row and column j) is an M-matrix, so
-    L_j^-1 >= 0 and L_j^-1 1 = h, the exact column.  A computed column
-    h' with h'_j = 0 and residual r = 1 - L_j h' then satisfies
-    |h' - h| = |L_j^-1 r| <= ||r||_inf h entrywise.  The residual is
-    read off two GEMMs, L H and |L| |H|, and each row adds the rounding
-    of its own residual, at most (nnz_i + 2) eps (1 + (|L||H|)_ij) with
-    nnz_i the non-zeros of row i of L, so
+    L is the first-step matrix: L_ik = -p_ik off the diagonal and
+    L_ii = sum_{k != i} p_ik.  For target j, L_j (L without row and
+    column j) is an M-matrix, so L_j^-1 >= 0 and L_j^-1 1 = h, the exact
+    column.  A computed column h' with h'_j = 0 and residual
+    r = 1 - L_j h' then satisfies |h' - h| = |L_j^-1 r| <= ||r||_inf h
+    entrywise.  The residual is read off two GEMMs, L H and |L| |H|, and
+    each row adds the rounding of its own residual, at most
+    (nnz_i + 2) eps (1 + (|L||H|)_ij) with nnz_i the non-zeros of row i
+    of L, read off the edge list: the off-diagonal out-edges of state i
+    and the diagonal, their positive sum on an irreducible chain.  So
 
         b_j = max_{i != j} |1 - (L H)_ij| + (nnz_i + 2) eps (1 + (|L||H|)_ij)
 
     bounds the relative error of every entry of the column.  A column
     with a non-finite entry gets a NaN or infinite bound.
     """
+    L = np.negative(P.rows)
+    np.fill_diagonal(L, 0.0)
+    np.fill_diagonal(L, -L.sum(axis=1))
     b = L @ H
     np.subtract(1.0, b, out=b)
     np.abs(b, out=b)
     rounding = np.abs(L) @ np.abs(H)
     rounding += 1.0
-    rounding *= (np.count_nonzero(L, axis=1)[:, None] + 2) * EPS
+    src, dst = P._edges
+    rounding *= (np.bincount(src[src != dst], minlength=P.size)[:, None] + 3) * EPS
     b += rounding
     b[targets, np.arange(targets.size)] = 0.0
     return b.max(axis=0)
@@ -528,9 +537,7 @@ def detailed_balance_residual(P: TransitionMatrix, pi: ProbabilityVector) -> flo
     A pair with p_ij = p_ji = 0 adds 0, and (j, i) repeats (i, j), so
     the maximum runs over the pattern p_ij > 0 alone, in O(nnz).
     """
-    graph = P._transition_graph
-    i = np.repeat(np.arange(P.size), np.diff(graph.indptr))
-    j = graph.indices
+    i, j = P._edges
     w = pi.weights
     return float(np.abs(w[i] * P.rows[i, j] - w[j] * P.rows[j, i]).max(initial=0.0))
 

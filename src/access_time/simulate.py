@@ -16,15 +16,17 @@ its target, so every uniform drawn for a step moves a walk, and the
 trajectories are a pure function of (seed, samples).
 
 A walk at state i with uniform u moves to ``dest[i, #{bins[:, i] <= u}]``,
-read off a per-state out-edge table: ``dest[i]`` lists the non-zero
-columns of row i in increasing order, ``bins[:, i]`` their cumulative
-sums but the last, padded with 1.0 to K - 1 entries, K the largest
-out-degree.  The sums are the dense row's cumulative sums at those
-columns; dropping the last one sends every u the rounded row sum leaves
-uncovered to the row's last out-edge, never to a column the chain cannot
-reach.  A step costs K - 1 comparisons per moving walk, O(K) rather than
-O(N).  Laws draw their states by the same rule, with a ``searchsorted``
-over their one row.
+read off a per-state out-edge table built from the chain's edge list
+(``TransitionMatrix._edges``), with no scan of the dense rows:
+``dest[i]`` lists the non-zero columns of row i in increasing order,
+``bins[:, i]`` their cumulative sums but the last, padded with 1.0 to
+K - 1 entries, K the largest out-degree.  The sums are the dense row's
+cumulative sums at those columns; dropping the last one sends every u
+the rounded row sum leaves uncovered to the row's last out-edge, never
+to a column the chain cannot reach.  A step costs K - 1 comparisons per
+moving walk, O(K) rather than O(N).  Laws draw their states by the same
+rule: a ``searchsorted`` of u over the cumulative sums but the last of
+their non-zero weights.
 """
 from __future__ import annotations
 
@@ -57,11 +59,11 @@ class SimReport:
     rule, sum_j nu_j H(mu, delta_j) from the solver; ``mean_t`` should sit
     within a few standard errors of it, and the empirical law of the
     stopped state should be close to nu in total variation.
-    ``lattice_rows`` and ``useful_steps`` describe the kernel's work and
-    stay out of the JSON report.  Every uniform drawn for a step moves a
-    walk, so ``useful_steps`` is also the number of step draws, and
-    ``useful_steps / (lattice_rows * samples)`` is the share a full-width
-    row per step would have used.
+    ``lattice_rows``, the step count of the longest walk, and
+    ``useful_steps``, the sum of all walks' step counts, describe the
+    kernel's work and stay out of the JSON report.  Every uniform drawn
+    for a step moves a walk, so ``useful_steps`` is also the number of
+    step draws.
     """
 
     samples: int
@@ -89,32 +91,39 @@ class SimReport:
         }
 
 
-def _out_edges(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Out-edge table ``(dest, bins)`` of each row of ``weights``; a law is one row.
+def _out_edges(P: TransitionMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Out-edge table ``(dest, bins)`` of each state, read off the chain's edge list.
 
     ``dest[i, :d_i]`` holds the d_i non-zero columns of row i in increasing
     order and ``bins[:d_i - 1, i]`` their cumulative sums but the last; the
     rest of ``bins[:, i]``, to K - 1 entries for K = max d_i, reads 1.0,
     which no uniform u < 1 reaches.
     """
-    rows = np.atleast_2d(weights)
-    src, dst = np.nonzero(rows)  # row-major, so each row's columns ascend
-    degree = np.bincount(src, minlength=rows.shape[0])
+    src, dst = P._edges
+    start = np.searchsorted(src, np.arange(P.size + 1))  # row i's edges are start[i]:start[i+1]
+    degree = np.diff(start)
     K = int(degree.max())
-    slot = np.arange(src.size) - np.repeat(np.cumsum(degree) - degree, degree)
-    dest = np.zeros((rows.shape[0], K), dtype=np.intp)
+    slot = np.arange(src.size) - start[src]
+    dest = np.zeros((P.size, K), dtype=np.intp)
     dest[src, slot] = dst
     cum = np.zeros(dest.shape)
-    cum[src, slot] = rows[src, dst]
+    cum[src, slot] = P.rows[src, dst]
     np.cumsum(cum, axis=1, out=cum)  # the dense row's cumsum at its non-zero columns
     cum[np.arange(K) >= degree[:, None] - 1] = 1.0
     return dest, np.ascontiguousarray(cum[:, :-1].T)
 
 
 def _draw_law(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """States drawn from a law, one per uniform in ``u``."""
-    dest, bins = _out_edges(weights)
-    return dest[0, np.searchsorted(bins[:, 0], u, side="right")]
+    """States drawn from a law, one per uniform in ``u``, by the out-edge rule of one row."""
+    states = np.flatnonzero(weights)
+    return states[np.searchsorted(np.cumsum(weights[states])[:-1], u, side="right")]
+
+
+def _philox(seed: int) -> np.random.Generator:
+    """The Philox stream keyed by ``seed``, which must lie in [0, 2**128)."""
+    if not 0 <= seed < 2**128:
+        raise ChainSpecError(f"seed must be an integer in [0, 2**128), got {seed}")
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _walk(
@@ -129,7 +138,7 @@ def _walk(
     table stays under ``_GATHER_ENTRIES`` entries; blocking leaves the
     draws, and so the trajectories, as they are.
     """
-    dest, bins = _out_edges(P.rows)
+    dest, bins = _out_edges(P)
     K = dest.shape[1]
     dest = dest.ravel()  # dest[i * K + c] is row i's out-edge c
     block = max(1, _GATHER_ENTRIES // max(1, K - 1))
@@ -162,8 +171,7 @@ def sample_trajectory(P: TransitionMatrix, start: int, stop: int, seed: int) -> 
     N = P.size
     if not (0 <= start < N and 0 <= stop < N):
         raise ChainSpecError(f"states ({start}, {stop}) out of range for {N} states")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    steps, _ = _walk(P, np.array([start]), np.array([stop]), rng)
+    steps, _ = _walk(P, np.array([start]), np.array([stop]), _philox(seed))
     return int(steps[0])
 
 
@@ -186,7 +194,8 @@ def simulate_rule(
     samples : int
         Trajectory count, at least 1000.
     seed : int
-        Philox key; identical seeds reproduce the report bit for bit.
+        Philox key in [0, 2**128); identical seeds reproduce the report bit
+        for bit.
     hitting : HittingTimeMatrix, optional
         Reused solver output for the theoretical mean.
 
@@ -197,14 +206,15 @@ def simulate_rule(
     Raises
     ------
     ChainSpecError
-        Fewer than ``MIN_SAMPLES`` samples, laws off the state space, or an
-        expected total of ``samples * theoretical_mean`` steps above
-        ``MAX_EXPECTED_STEPS``.
+        Fewer than ``MIN_SAMPLES`` samples, laws off the state space, a
+        seed outside [0, 2**128), or an expected total of
+        ``samples * theoretical_mean`` steps above ``MAX_EXPECTED_STEPS``.
     """
     if samples < MIN_SAMPLES:
         raise ChainSpecError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     if mu.dim != P.size or nu.dim != P.size:
         raise ChainSpecError("distributions do not match the chain's state space")
+    rng = _philox(seed)
     _require_solvable(P)
 
     M = hitting if hitting is not None else hitting_time_matrix(P)
@@ -215,7 +225,6 @@ def simulate_rule(
             f"{MAX_EXPECTED_STEPS:.0e} expected steps"
         )
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
     current = _draw_law(mu.weights, rng.random(samples))
     targets = _draw_law(nu.weights, rng.random(samples))
     steps, t = _walk(P, current, targets, rng)

@@ -4,8 +4,9 @@ Expected values are recomputed here through routes the library never
 takes: exact rational Gaussian elimination for hitting times and
 stationary laws, plain Python scans for transport values, a distance
 chain recursion for the hypercube, convolution for binomial weights,
-boolean matrix powers for the period, and a scalar Monte Carlo loop that
-moves one walk at a time.
+boolean matrix powers for the period and the strong components, loops
+over every entry for the bandwidth, the out-edge table read off the dense
+rows, and a scalar Monte Carlo loop that moves one walk at a time.
 """
 from bisect import bisect_right
 from fractions import Fraction
@@ -116,6 +117,50 @@ def return_time_period(rows):
         if reach[0, 0]:
             g = gcd(g, t)
     return g
+
+
+def strong_component_count(rows):
+    """Strong components as the classes of mutual reachability, from boolean
+    matrix powers of the pattern: reach[i, j] is a walk of 0..N-1 steps."""
+    step = (np.asarray(rows) > 0).astype(np.int64)
+    N = step.shape[0]
+    reach = np.eye(N, dtype=np.int64)
+    for _ in range(N):
+        reach = np.minimum(reach + reach @ step, 1)
+    mutual = (reach * reach.T).astype(bool)
+    return len({tuple(np.flatnonzero(row)) for row in mutual})
+
+
+def pattern_bandwidth(rows):
+    """(max(i - j), max(j - i)) over the entries p_ij > 0, and 0, one entry at a time."""
+    lower = upper = 0
+    for i, row in enumerate(np.asarray(rows).tolist()):
+        for j, p in enumerate(row):
+            if p > 0:
+                lower, upper = max(lower, i - j), max(upper, j - i)
+    return lower, upper
+
+
+def dense_out_edges(weights):
+    """Out-edge table ``(dest, bins)`` of each row of ``weights``; a law is one row.
+
+    ``dest[i, :d_i]`` holds the d_i non-zero columns of row i in increasing
+    order and ``bins[:d_i - 1, i]`` their cumulative sums but the last; the
+    rest of ``bins[:, i]``, to K - 1 entries for K = max d_i, reads 1.0,
+    which no uniform u < 1 reaches.
+    """
+    rows = np.atleast_2d(weights)
+    src, dst = np.nonzero(rows)  # row-major, so each row's columns ascend
+    degree = np.bincount(src, minlength=rows.shape[0])
+    K = int(degree.max())
+    slot = np.arange(src.size) - np.repeat(np.cumsum(degree) - degree, degree)
+    dest = np.zeros((rows.shape[0], K), dtype=np.intp)
+    dest[src, slot] = dst
+    cum = np.zeros(dest.shape)
+    cum[src, slot] = rows[src, dst]
+    np.cumsum(cum, axis=1, out=cum)  # the dense row's cumsum at its non-zero columns
+    cum[np.arange(K) >= degree[:, None] - 1] = 1.0
+    return dest, np.ascontiguousarray(cum[:, :-1].T)
 
 
 def _support(weights):

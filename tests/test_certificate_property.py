@@ -28,7 +28,7 @@ def test_certificate_covers_every_column(rows):
     N = chain.size
     exact = fraction_hitting_matrix(rows)
     raw = hitting._grounded_matrix(chain)
-    raw_bound = hitting._column_bounds(hitting._first_step_matrix(chain), raw, np.arange(N))
+    raw_bound = hitting._column_bounds(chain, raw, np.arange(N))
     assert_within_column_bounds(raw, exact, raw_bound)
     if max(chain.bandwidth) <= 1:  # the step-time recurrence
         M = hitting_time_matrix(chain)

@@ -8,9 +8,12 @@ from access_time import (
     DistSpec,
     ProbabilityVector,
     TransitionMatrix,
+    access_time,
     build_chain,
     build_distribution,
+    hitting_time_matrix,
     random_connected_graph,
+    simulate_rule,
     truncated_moments,
     validate_chain,
 )
@@ -215,6 +218,20 @@ def test_bandwidth_of_hand_made_chains():
     assert TransitionMatrix(np.ones((1, 1))).bandwidth == (0, 0)
 
 
+def _count_row_scans(monkeypatch, N):
+    """The NumPy non-zero scans of an N x N array from now on, as a list that grows."""
+    scans = []
+    for name in ("nonzero", "flatnonzero", "count_nonzero"):
+
+        def counting(a, *args, _name=name, _scan=getattr(np, name), **kwargs):
+            if np.shape(a) == (N, N):
+                scans.append(_name)
+            return _scan(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    return scans
+
+
 def test_one_sparsity_pass_serves_scc_and_bandwidth(monkeypatch):
     built = []
 
@@ -224,9 +241,24 @@ def test_one_sparsity_pass_serves_scc_and_bandwidth(monkeypatch):
 
     monkeypatch.setattr(chains, "csr_matrix", counting)
     chain = build_chain(ChainSpec("path", n=6))
+    scans = _count_row_scans(monkeypatch, chain.size)
     assert chain.strong_components == 1 and chain.bandwidth == (1, 1)
     assert chain.bandwidth == (1, 1) and chain.strong_components == 1
     assert len(built) == 1
+    # the diagnostics and the Monte Carlo kernel read the same edge list
+    assert validate_chain(chain).period == 2
+    simulate_rule(chain, dirac(0, 7), dirac(6, 7), samples=1000, seed=0)
+    assert scans == ["flatnonzero"]
+
+
+def test_dense_route_scans_the_rows_once(monkeypatch):
+    chain = build_chain(ChainSpec("star", n=6))
+    scans = _count_row_scans(monkeypatch, chain.size)
+    assert validate_chain(chain).irreducible
+    M = hitting_time_matrix(chain)  # the one-reduction matrix and its certificate
+    simulate_rule(chain, dirac(1, 7), dirac(2, 7), samples=1000, seed=0, hitting=M)
+    access_time(chain, dirac(1, 7), dirac(2, 7))
+    assert scans == ["flatnonzero"]
 
 
 def test_step_times_of_tridiagonal_families():

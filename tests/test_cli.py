@@ -424,6 +424,24 @@ def test_verify_with_a_meaningless_tolerance_exits_2(capsys, tol):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--chain", '{"family":"path","n":3}', "--mu", "dirac:0", "--nu", "dirac:3",
+         "--samples", "1000", "--seed", "-1"],
+        ["simulate", "--chain", '{"family":"path","n":3}', "--mu", "dirac:0", "--nu", "dirac:3",
+         "--samples", "1000", "--seed", str(2**128)],
+        ["verify", "--family", "path", "--n", "3", "--trials", "2", "--seed", "-1"],
+        ["scale", "--families", "path", "--n", "3", "--scenario", "random_pair", "--seed", "-1"],
+    ],
+    ids=["simulate-negative", "simulate-2**128", "verify-negative", "scale-negative"],
+)
+def test_seed_out_of_range_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "seed" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
     "spec",
     [
         {"kind": "explicit", "weights": ["a", 1, 1, 1]},

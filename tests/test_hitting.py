@@ -524,7 +524,7 @@ def test_banded_graph_matches_dense_route(reach):
 
 def test_banded_chains_never_factor_densely(capsys, tmp_path):
     refuse = mock.Mock(side_effect=AssertionError("dense LU on a banded chain"))
-    with mock.patch.object(hitting, "lu_factor", refuse):
+    with mock.patch.object(hitting, "dgetrf", refuse):
         assert main(["bounds", "--chain", '{"family":"path","n":512}']) == 0
         assert json.loads(capsys.readouterr().out)["argmax_pair"] == [0, 512]
         out = tmp_path / "sweep.csv"
@@ -569,7 +569,7 @@ def test_wide_chains_take_the_certified_one_reduction_route(spec, formula):
     assert not on_tridiagonal_route(chain)
     refuse = mock.Mock(side_effect=AssertionError("per-target solve on a certified chain"))
     with mock.patch.object(hitting, "hitting_time_to", refuse), mock.patch.object(
-        hitting, "lu_factor", refuse
+        hitting, "dgetrf", refuse
     ):
         M = hitting_time_matrix(chain)
     if formula is None:

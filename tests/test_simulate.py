@@ -113,6 +113,17 @@ def test_simulate_rule_validation():
         simulate_rule(chain, dirac(0, 3), uni)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128, 2**200])
+def test_seed_outside_the_philox_key_range_is_refused(seed):
+    chain = build_chain(ChainSpec("complete", n=3))
+    uni = ProbabilityVector(np.full(4, 0.25))
+    with pytest.raises(ChainSpecError, match="seed"):
+        simulate_rule(chain, uni, uni, samples=1000, seed=seed)
+    with pytest.raises(ChainSpecError, match="seed"):
+        sample_trajectory(chain, 0, 1, seed=seed)
+    assert sample_trajectory(chain, 0, 1, seed=2**128 - 1) >= 1
+
+
 def test_sim_report_json_shape():
     chain = build_chain(ChainSpec("complete", n=3))
     uni = ProbabilityVector(np.full(4, 0.25))

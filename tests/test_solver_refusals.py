@@ -1,10 +1,12 @@
 """The solver refuses a singular system loudly, and both routes read one zero-sum d.
 
-A dense partial-pivoted LU solve that meets an exactly zero pivot returns
-NaN and inf, and a tridiagonal step time can overflow; ``hitting_time_to``
-turns both into a ``LinAlgError`` naming the target and the cause (exit
-code 3 on the command line) rather than handing a bad column to the
-transport scan.  A
+A dense partial-pivoted LU solve that meets an exactly zero pivot is
+refused as singular, and a column that is otherwise not finite (an
+overflowing step time, or a regular system whose times pass 2**1024) as
+out of the float range; ``hitting_time_to`` raises a ``LinAlgError``
+naming the target and the cause (exit code 3 on the command line, with
+one line on stderr and no NumPy warning) rather than handing a bad
+column to the transport scan.  A
 tridiagonal chain has no pivot, so where the LU meets a zero one its
 step-time column is still exact.  And since the
 Kemeny-Snell scan needs sum(mu - nu) = 0, ``transport_scan`` and the matrix
@@ -16,6 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 
 from access_time import (
     ProbabilityVector,
@@ -27,6 +30,7 @@ from access_time import (
     hitting_time_to,
     transport_scan,
 )
+from access_time.cli import main
 from access_time.hitting import zero_sum
 from conftest import dirac
 from oracles import fraction_hitting_matrix
@@ -79,7 +83,8 @@ def test_tridiagonal_chain_is_solved_where_lu_meets_a_zero_pivot():
     rows = _chain({k: 2.0**-e for k, e in SINGULAR_BANDED.items()}, 5)
     chain = TransitionMatrix(rows)
     assert chain.bandwidth == (1, 1)
-    assert not np.isfinite(hitting._dense_column(chain, 0)).all()
+    with pytest.raises(np.linalg.LinAlgError, match="^singular first-step system for target 0$"):
+        hitting._dense_column(chain, 0)
     exact = fraction_hitting_matrix(rows)
     M = hitting_time_matrix(chain)
     assert np.array_equal(M.column_bound, np.full(5, 15 * hitting.EPS))
@@ -116,6 +121,53 @@ def test_refusal_names_its_cause():
     # an exactly zero pivot of the dense LU is a singular system
     chain = TransitionMatrix(_chain({k: m * 2.0**-e for k, (m, e) in SINGULAR_LU.items()}, 5))
     with pytest.raises(np.linalg.LinAlgError, match="^singular first-step system for target 3$"):
+        hitting_time_to(chain, 3)
+
+
+#: 1 - 2**-1074 rounds to 1: a dense chain whose first-step system is regular
+#: for every target, yet E_0[tau_1] = 2**1074, and so E_0[tau_2], pass the float range
+VANISHING_EXIT = np.array([[1.0 - 2.0**-1074, 2.0**-1074, 0.0], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+
+
+def test_regular_system_past_the_float_range_is_not_called_singular():
+    chain = TransitionMatrix(VANISHING_EXIT)
+    assert chain.bandwidth == (2, 1)  # the dense route
+    for target in (1, 2):
+        A = -VANISHING_EXIT.copy()
+        np.fill_diagonal(A, 0.0)
+        np.fill_diagonal(A, -A.sum(axis=1))
+        A[target, :] = A[:, target] = 0.0
+        A[target, target] = 1.0
+        pivots = np.abs(lu_factor(A)[0].diagonal())
+        assert pivots.min() > 0.0 and pivots.min() < 1e-322  # regular, with a subnormal pivot
+        with pytest.raises(
+            np.linalg.LinAlgError,
+            match=f"^hitting times of target {target} exceed the float range$",
+        ):
+            hitting_time_to(chain, target)
+    assert np.array_equal(hitting_time_to(chain, 0), [0.0, 2.0, 2.0])
+    with pytest.raises(np.linalg.LinAlgError, match="exceed the float range"):
+        hitting_time_matrix(chain)
+
+
+@pytest.mark.filterwarnings("error")
+def test_refusals_raise_no_numpy_warning(capsys):
+    # an overflowing scan on the tridiagonal route: one stderr line, exit 3
+    code = main(["compute", "--chain", '{"family":"birth_death","n":2,"p":5e-324}',
+                 "--mu", "dirac:0", "--nu", "dirac:2"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "numerical error: hitting times of target 0 exceed the float range"
+    ]
+    # the dense route: the scan, the one-reduction matrix and its certificate
+    chain = TransitionMatrix(VANISHING_EXIT)
+    for mu, nu in [(0, 1), (0, 2), (1, 0), (2, 1)]:
+        with pytest.raises(np.linalg.LinAlgError, match="exceed the float range"):
+            access_time(chain, dirac(mu, 3), dirac(nu, 3))
+    # an exactly zero pivot: LAPACK's flag, not SciPy's LinAlgWarning
+    chain = TransitionMatrix(_chain({k: m * 2.0**-e for k, (m, e) in SINGULAR_LU.items()}, 5))
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
         hitting_time_to(chain, 3)
 
 

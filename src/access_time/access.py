@@ -366,7 +366,6 @@ def symmetric_walk_access(
     dist: ProbabilityVector,
     direction: str,
     hitting: HittingTimeMatrix | None = None,
-    sym_tol: float = 1e-8,
 ) -> AccessResult:
     """Access time to or from the stationary law on a hitting-symmetric walk.
 
@@ -383,7 +382,7 @@ def symmetric_walk_access(
         raise ChainSpecError(f"direction must be from_pi or to_pi, got {direction!r}")
     _check_pair(P, dist, dist)
     M = hitting if hitting is not None else hitting_time_matrix(P)
-    symmetric, asym = is_hitting_symmetric(P, tol=sym_tol, hitting=M)
+    symmetric, asym = is_hitting_symmetric(P, hitting=M)
     if not symmetric:
         raise ChainSpecError(
             f"hitting times are asymmetric (worst gap {asym:.3e}); "
@@ -410,27 +409,21 @@ def symmetric_walk_access(
 # verification harness
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    """One formula-versus-solver comparison.
+@dataclass(frozen=True, kw_only=True)
+class VerifyResult(FamilyReport):
+    """One formula-versus-solver comparison: the family report, the chain's
+    ``n`` and ``p``, and the verdict.
 
     ``status`` is PASS when the closed form matches the solver and the
-    bound sandwich holds around the solver value, ERRATUM when the known
-    birth-death downhill defect explains the gap (the mirror-corrected
-    value then matches the solver), and FAIL otherwise.
+    bound sandwich holds around the solver value (``sandwich_ok``), ERRATUM
+    when the known birth-death downhill defect explains the gap (the
+    mirror-corrected value then matches the solver), and FAIL otherwise.
     """
 
-    family: str
     n: int
     p: float | None
     status: str
-    exact: float
-    solver_value: float
-    lower: float
-    upper: float
-    discrepancy: float
     sandwich_ok: bool
-    mirror_corrected: float | None = None
 
 
 def verify_family(
@@ -467,15 +460,5 @@ def verify_family(
     else:
         status = "FAIL"
     return VerifyResult(
-        family=spec.family,
-        n=spec.n,
-        p=spec.p,
-        status=status,
-        exact=report.exact,
-        solver_value=solver,
-        lower=report.lower,
-        upper=report.upper,
-        discrepancy=report.discrepancy,
-        sandwich_ok=sandwich_ok,
-        mirror_corrected=report.mirror_corrected,
+        **vars(report), n=spec.n, p=spec.p, status=status, sandwich_ok=sandwich_ok
     )

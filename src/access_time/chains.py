@@ -30,7 +30,6 @@ Monte Carlo out-edge table.
 """
 from __future__ import annotations
 
-import math
 import numbers
 import os
 from dataclasses import asdict, dataclass
@@ -453,10 +452,9 @@ def _path(spec: ChainSpec):
     n = spec.n
     N = n + 1
     P = np.zeros((N, N))
-    P[0, 1] = 1.0
-    P[n, n - 1] = 1.0
-    for i in range(1, n):
-        P[i, i - 1] = P[i, i + 1] = 0.5
+    idx = np.arange(1, n)
+    P[idx, idx - 1] = P[idx, idx + 1] = 0.5
+    P[0, 1] = P[n, n - 1] = 1.0
     return P, tuple(range(N))
 
 
@@ -528,6 +526,23 @@ def build_chain(spec: ChainSpec) -> TransitionMatrix:
 # distributions
 
 
+def _binomial_weights(m: int, p: float) -> np.ndarray:
+    """Binomial(m, p) weights up to a common factor, 1 at the mode.
+
+    The ratios w_{k+1} / w_k = (m - k) p / ((k + 1)(1 - p)) are multiplied
+    outward from the mode floor((m + 1) p), where each is at most 1, so no
+    coefficient or power leaves the float range; a weight below 2^-1074 of
+    the mode's reads 0.
+    """
+    k = np.arange(m)
+    ratio = (m - k) / (k + 1) * (p / (1 - p))
+    mode = min(int((m + 1) * p), m)
+    w = np.ones(m + 1)
+    np.multiply.accumulate(ratio[mode:], out=w[mode + 1 :])
+    np.multiply.accumulate(1.0 / ratio[:mode][::-1], out=w[:mode][::-1])
+    return w
+
+
 def build_distribution(dspec: DistSpec, chain: TransitionMatrix) -> ProbabilityVector:
     """Materialize a distribution spec on a chain's state space.
 
@@ -546,13 +561,8 @@ def build_distribution(dspec: DistSpec, chain: TransitionMatrix) -> ProbabilityV
         return ProbabilityVector(np.full(N, 1.0 / N))
     if dspec.kind == "binomial":
         values = chain.integer_labels()
-        m = int(values.max() - values.min())
         k = values - values.min()
-        if m == 0:
-            return ProbabilityVector(np.ones(1))
-        p = dspec.p
-        w = np.array([math.comb(m, int(kk)) * p**int(kk) * (1 - p) ** int(m - kk) for kk in k])
-        return ProbabilityVector(w)
+        return ProbabilityVector(_binomial_weights(int(k.max()), dspec.p)[k])
     if dspec.kind == "explicit":
         w = np.asarray(dspec.weights, dtype=float)
         if w.shape[0] != N:

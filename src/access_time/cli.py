@@ -3,16 +3,16 @@
 Subcommands: ``gen``, ``compute``, ``verify``, ``bounds``, ``scale``,
 ``simulate``.  Chains arrive as JSON specs, distributions as the compact
 grammar ``dirac:K | uniform | binomial:P | stationary | file:PATH``.
-JSON goes to stdout; CSV artifacts (RFC 4180, %.17g numerics) go to
-``--out``.
+JSON reports go through ``_emit_json``, to stdout or, for ``simulate``, to
+``--out``; tables go to ``--out`` through ``hitting.write_csv``.
 
 Exit codes: 0 success, 1 verification or consistency failure, 2 input
-validation, 3 numerical trouble (reducible chain, singular system).
+validation or an ``--out`` path that cannot be written, 3 numerical trouble
+(reducible chain, singular system).
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -31,7 +31,7 @@ from .chains import (
     build_distribution,
     validate_chain,
 )
-from .hitting import FLOAT_FMT, hitting_time_matrix, hitting_time_to, write_table_csv
+from .hitting import hitting_time_matrix, hitting_time_to, open_out, write_csv
 from .simulate import simulate_rule
 
 CLOSED_FORM_FAMILIES = tuple(CLOSED_FORMS)
@@ -49,13 +49,19 @@ SWEEP_COLUMNS = (
     "wall_time_ms",
 )
 
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return FLOAT_FMT % x
-    return str(x)
+VERIFY_COLUMNS = (
+    "family",
+    "n",
+    "p",
+    "trial",
+    "status",
+    "exact",
+    "solver_value",
+    "lower",
+    "upper",
+    "discrepancy",
+    "mirror_corrected",
+)
 
 
 def parse_dist_shorthand(text: str) -> DistSpec:
@@ -118,10 +124,11 @@ def _parse_n_list(text: str) -> list[int]:
     return out
 
 
-def _emit_json(obj: dict, out_path: str | None) -> None:
+def _emit_json(obj: dict, out: str | None = None) -> None:
+    """Print a JSON report, or write it to the file ``out``."""
     text = json.dumps(obj, indent=2)
-    if out_path:
-        with open(out_path, "w") as fh:
+    if out:
+        with open_out(out) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -142,9 +149,10 @@ def cmd_gen(args) -> int:
         "diagnostics": diag.to_json(),
     }
     if args.out:
-        write_table_csv(args.out, "state", chain.labels, chain.rows)
+        rows = ([label, *row.tolist()] for label, row in zip(chain.labels, chain.rows))
+        write_csv(args.out, ("state", *chain.labels), rows)
         report["out"] = args.out
-    print(json.dumps(report, indent=2))
+    _emit_json(report)
     return 0
 
 
@@ -157,7 +165,7 @@ def cmd_compute(args) -> int:
     payload = result.to_json()
     if args.closed_form:
         payload["family_report"] = family_report(spec, mu, nu, solver_value=result.value).to_json()
-    _emit_json(payload, None)
+    _emit_json(payload)
     return 0
 
 
@@ -170,7 +178,7 @@ def cmd_bounds(args) -> int:
     if args.out:
         M.to_csv(args.out)
         payload["out"] = args.out
-    print(json.dumps(payload, indent=2))
+    _emit_json(payload)
     return 0
 
 
@@ -215,20 +223,9 @@ def cmd_verify(args) -> int:
             mu, nu = _random_pair(rng, chain.size)
             res = verify_family(spec, mu, nu, tol=args.tol, hitting=M)
             counts[res.status] += 1
-            rows.append((n, trial, res))
+            rows.append({"trial": trial, **vars(res)})
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["family", "n", "p", "trial", "status", "exact", "solver_value",
-                 "lower", "upper", "discrepancy", "mirror_corrected"]
-            )
-            for n, trial, res in rows:
-                writer.writerow(
-                    [res.family, n, _fmt(res.p), trial, res.status, _fmt(res.exact),
-                     _fmt(res.solver_value), _fmt(res.lower), _fmt(res.upper),
-                     _fmt(res.discrepancy), _fmt(res.mirror_corrected)]
-                )
+        write_csv(args.out, VERIFY_COLUMNS, ([r[c] for c in VERIFY_COLUMNS] for r in rows))
     print(
         f"{args.family}: {counts['PASS']} PASS, {counts['ERRATUM']} ERRATUM, "
         f"{counts['FAIL']} FAIL over n in {ns[0]}..{ns[-1]} x {args.trials} trials"
@@ -316,28 +313,26 @@ def cmd_scale(args) -> int:
         for n in ns:
             rows.append(_sweep_row(_family_spec(family, n, args.p), args.scenario, rng))
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SWEEP_COLUMNS)
-            for row in rows:
-                writer.writerow([_fmt(row[c]) for c in SWEEP_COLUMNS])
+        write_csv(args.out, SWEEP_COLUMNS, ([r[c] for c in SWEEP_COLUMNS] for r in rows))
     summary = []
     for family in families:
         frows = [r for r in rows if r["family"] == family]
         ns_f = np.array([r["n"] for r in frows], dtype=float)
         hs = np.array([r["H"] for r in frows], dtype=float)
         entry: dict = {"family": family, "scenario": args.scenario, "rows": len(frows)}
+        positive = np.all(hs > 0)
+        fit = positive and np.unique(ns_f).size >= 2  # a line needs two distinct sizes
         if family == "winning_streak":
             # exponential family: fit log2 H against n and report the ratio to 2^n
-            if np.all(hs > 0):
-                slope = float(np.polyfit(ns_f, np.log2(hs), 1)[0])
-                entry["log2_slope"] = slope
+            if fit:
+                entry["log2_slope"] = float(np.polyfit(ns_f, np.log2(hs), 1)[0])
+            if positive:
                 entry["ratio_to_pow2_min"] = float((hs / 2.0**ns_f).min())
                 entry["ratio_to_pow2_max"] = float((hs / 2.0**ns_f).max())
-        elif len(frows) >= 2 and np.all(hs > 0):
+        elif fit:
             entry["exponent"] = float(np.polyfit(np.log(ns_f), np.log(hs), 1)[0])
         summary.append(entry)
-    print(json.dumps({"rows": len(rows), "summary": summary}, indent=2))
+    _emit_json({"rows": len(rows), "summary": summary})
     return 0
 
 

@@ -1,56 +1,18 @@
 """Exact mean hitting times, stationary laws, and the average hitting time.
 
-The solver is the arbiter for every closed form in this package: for each
-target j the column (E_i[tau_j])_i solves the first-step system
-
-    h_j = 0,    sum_{k != i} p_{i,k} (h_i - h_k) = 1   (i != j),
-
-which reads, like the stationary reduction, only the off-diagonal rates:
-the diagonal is the row's off-diagonal sum, never 1 - p_ii, so a chain
-that mostly holds in place loses no digits to cancellation.  Every solve
-first asks the chain's edge list (``TransitionMatrix._edges``, one scan
-of its rows) whether the chain is irreducible and whether one step moves
-at most one state; both verdicts are computed once and kept.  On a
-tridiagonal chain, such as the path and the birth-death chain, column j
-is two cumulative sums, one on either side of j, of the step times
-``TransitionMatrix.step_times`` from a subtraction-free recurrence, in
-O(N); every other chain is factored densely with partial-pivoted LU, in
-O(N^3).  A column is refused as singular only where the LU meets an
-exactly zero pivot, and as past the float range where it is otherwise
-not finite; arithmetic whose non-finite result is refused runs with
-NumPy's floating-point warnings off, so a refusal prints one message.
-Desk-scale by design; the state-count ceiling is
-``chains.dense_size_cap()``.
-
-A tridiagonal chain never reaches the O(N^3) state reduction: its
-stationary law comes from detailed-balance ratios
-pi_{k+1} / pi_k = p_{k,k+1} / p_{k+1,k}, and ``transport_scan`` reads
-d @ M off two cumulative sums of d against the step times, both in
-O(N).  On every other chain the blocked state reduction behind
-``stationary_distribution`` also factors the first-step system grounded
-at state 0, L' = U diag(s) Lo (``_grounded_factors``), and two routes
-read those factors:
-
-- ``transport_scan``: for d = mu - nu, which sums to 0, the Kemeny-Snell
-  identity reads (d @ M)_j = d.h0 - y_j / pi_j, with y (I - P) = d,
-  y_0 = 0 and h0 the hitting column to state 0; four triangular solves
-  give it, with an estimate of its own rounding error.
-  ``access.access_time`` keeps that scan when the estimate passes
-  ``access.SCAN_GATE`` and falls back to ``hitting_time_matrix``
-  otherwise.
-- ``hitting_time_matrix`` off the tridiagonal route: G = L'^-1 from two
-  triangular solves with N right-hand sides, then
-  M_ij = (G_jj - G_ij) / pi_j + h0_i - h0_j, O(N^3) in all.  Each
-  column j is certified by its first-step residual: L_j is an M-matrix,
-  so b_j = max_i |1 - (L M)_ij| plus the rounding of that residual
-  bounds the relative error of every entry, |M' - M| <= b_j M, read off
-  two GEMMs.  A column with b_j > ``CERT_GATE`` is solved again per
-  target; the table keeps every b_j as ``column_bound``.  Tridiagonal
-  chains keep the per-target columns, O(N^2) in all, and the a priori
-  bound of their recurrence.
+The solver is the arbiter for every closed form in this package.  Each
+chain takes its route off its edge list: a tridiagonal chain (path,
+birth-death) reads its hitting columns, stationary law and transport
+scan off its step times, in O(N); every other chain takes one dense
+state reduction, O(N^3), whose factors serve ``stationary_distribution``,
+``transport_scan`` and ``hitting_time_matrix``, or a partial-pivoted LU
+per column in ``hitting_time_to``.  Desk-scale by design; the state-count
+ceiling is ``chains.dense_size_cap()``.  ``write_csv`` is the package's
+one CSV writer.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import math
@@ -71,6 +33,9 @@ from .chains import (
 REVERSIBLE_TOL = 1e-10
 #: entries within this relative band of the maximum count as tied
 TIE_REL_TOL = 1e-12
+#: hitting times count as symmetric when every E_i[tau_j] - E_j[tau_i] is
+#: within this band of the largest hitting time (relative, with a unit floor)
+SYMMETRY_REL_TOL = 1e-8
 
 FLOAT_FMT = "%.17g"
 
@@ -133,17 +98,35 @@ class HittingTimeMatrix:
         return self.values.shape[0]
 
     def to_csv(self, path) -> None:
-        """Write the full-precision table; header row names the targets."""
-        write_table_csv(path, "source", self.labels, self.values)
+        """Write the table with ``write_csv``; the header row names the targets."""
+        rows = ([label, *row.tolist()] for label, row in zip(self.labels, self.values))
+        write_csv(path, ("source", *self.labels), rows)
 
 
-def write_table_csv(path, corner: str, labels, values: np.ndarray) -> None:
-    """Write a labelled square table at full precision, ``corner`` heading the label column."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([corner] + [str(l) for l in labels])
-        for i, label in enumerate(labels):
-            writer.writerow([str(label)] + [FLOAT_FMT % v for v in values[i]])
+@contextlib.contextmanager
+def open_out(path):
+    """``path`` opened for writing, line ends untranslated as the csv module needs;
+    an OSError opening or writing it is bad input."""
+    try:
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ChainSpecError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a table as RFC 4180 CSV: the one writer of every ``--out`` table.
+
+    A float cell is written as ``FLOAT_FMT``, every digit of the double, so
+    it reads back bit for bit; None is an empty cell and anything else is
+    ``str`` of it.
+    """
+    with open_out(path) as fh:
+        writer = csv.writer(fh)  # writes None as "" and other cells as str
+        writer.writerow(header)
+        writer.writerows(
+            [FLOAT_FMT % cell if isinstance(cell, float) else cell for cell in row] for row in rows
+        )
 
 
 def argmax_smallest(scores: np.ndarray) -> tuple[float, int]:
@@ -159,6 +142,14 @@ def argmax_smallest(scores: np.ndarray) -> tuple[float, int]:
 
 def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
     """Mean hitting times of one target state from every start.
+
+    The column h solves the first-step system
+
+        h_target = 0,    sum_{k != i} p_ik (h_i - h_k) = 1   (i != target),
+
+    which reads only the off-diagonal rates: the diagonal is the row's
+    off-diagonal sum, never 1 - p_ii, so a chain that mostly holds in
+    place loses no digits to cancellation.
 
     A tridiagonal chain (``P.bandwidth`` at most (1, 1)) needs no linear
     solve: a walk from i to j crosses every edge between them, so
@@ -557,19 +548,17 @@ def max_hitting_time(
 
 
 def is_hitting_symmetric(
-    P: TransitionMatrix,
-    tol: float = 1e-8,
-    hitting: HittingTimeMatrix | None = None,
+    P: TransitionMatrix, hitting: HittingTimeMatrix | None = None
 ) -> tuple[bool, float]:
     """Whether E_i[tau_j] = E_j[tau_i] for all pairs, with the worst asymmetry.
 
-    Symmetry is judged relative to the maximal hitting time, so the answer
-    is scale-free.
+    Symmetry is judged to ``SYMMETRY_REL_TOL`` of the maximal hitting time,
+    so the answer is scale-free.
     """
     M = hitting if hitting is not None else hitting_time_matrix(P)
     asym = float(np.abs(M.values - M.values.T).max())
     scale = max(1.0, float(M.values.max()))
-    return asym <= tol * scale, asym
+    return asym <= SYMMETRY_REL_TOL * scale, asym
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,16 @@ def test_path_rows():
     np.testing.assert_array_equal(chain.rows, expected)
 
 
+@pytest.mark.parametrize("n", [1, 2, 512])
+def test_path_rows_match_the_row_loop(n):
+    expected = np.zeros((n + 1, n + 1))
+    expected[0, 1] = 1.0
+    expected[n, n - 1] = 1.0
+    for i in range(1, n):
+        expected[i, i - 1] = expected[i, i + 1] = 0.5
+    assert np.array_equal(build_chain(ChainSpec("path", n=n)).rows, expected)
+
+
 def test_winning_streak_rows():
     chain = build_chain(ChainSpec("winning_streak", n=3))
     expected = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.5, 0.0, 0.5]])
@@ -308,6 +318,16 @@ def test_binomial_matches_convolution():
         chain = build_chain(ChainSpec("path", n=n))
         got = build_distribution(DistSpec("binomial", p=p), chain).weights
         np.testing.assert_allclose(got, binomial_pmf_by_convolution(n, p), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1100, 4095])
+def test_binomial_past_the_float_range_of_its_coefficients(n):
+    # comb(1100, 550) is past 1.8e308; Binomial(4095, 1/2) puts 2^-4095 at either end
+    chain = build_chain(ChainSpec("path", n=n))
+    got = build_distribution(DistSpec("binomial", p=0.5), chain).weights
+    # below the normal range (2.2e-308) neither side carries relative precision
+    tiny = np.finfo(float).tiny
+    np.testing.assert_allclose(got, binomial_pmf_by_convolution(n, 0.5), rtol=1e-11, atol=tiny)
 
 
 def test_binomial_on_shifted_labels():

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 import time
@@ -475,3 +476,54 @@ def test_argparse_error_leaves_the_next_call_unaffected(capsys):
         main([*argv, "--bogus", "1"])
     assert exc.value.code == 2 and "--bogus" in capsys.readouterr().err
     assert run_cli(capsys, *argv) == clean
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--chain", '{"family":"path","n":2}'],
+        ["bounds", "--chain", '{"family":"path","n":2}'],
+        ["verify", "--family", "path", "--n", "3", "--trials", "2"],
+        ["scale", "--families", "path", "--n", "3"],
+        ["simulate", "--chain", '{"family":"path","n":2}', "--mu", "dirac:0", "--nu", "dirac:2",
+         "--samples", "1000"],
+    ],
+    ids=["gen", "bounds", "verify", "scale", "simulate"],
+)
+def test_unwritable_out_path_exits_2(capsys, tmp_path, argv):
+    out = tmp_path / "missing" / "dir" / "x.out"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not out.parent.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that fails writes")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--chain", '{"family":"path","n":200}'],
+        ["simulate", "--chain", '{"family":"path","n":2}', "--mu", "dirac:0", "--nu", "dirac:2",
+         "--samples", "1000"],
+    ],
+    ids=["csv", "json"],
+)
+def test_failed_write_to_out_exits_2(capsys, argv):
+    # /dev/full opens, then every write fails with ENOSPC
+    code, stdout, err = run_cli(capsys, *argv, "--out", "/dev/full")
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "family, n, fit_key",
+    [("winning_streak", "8", "log2_slope"), ("path", "8,8", "exponent")],
+)
+def test_scale_fits_no_curve_through_one_size(capsys, family, n, fit_key):
+    code, out, err = run_cli(capsys, "scale", "--families", family, "--n", n)
+    assert code == 0 and err == ""
+    entry = json.loads(out)["summary"][0]
+    assert fit_key not in entry
+    if family == "winning_streak":  # H / 2^n needs no fit: E_1[tau_8] = 2^8 - 2
+        assert entry["ratio_to_pow2_min"] == entry["ratio_to_pow2_max"] == 254 / 256

@@ -82,12 +82,7 @@ def dense_size_cap() -> int:
     """Largest state count the dense solver path will accept.
 
     Defaults to 4096; override with the ``ACCESS_TIME_MAX_N`` environment
-    variable.  The full hitting matrix at N = 1024 (one BLAS thread):
-    hypercube d=10 passes the certificate on every column of the
-    one-reduction route and takes about 0.35 s; the complete graph
-    n=1023 fails it on every column (bounds 4.7e-10 to 4.8e-10 against
-    ``hitting.CERT_GATE`` = 1e-10, from the rounding term alone), so it
-    costs the per-target LU loop, about 43 s.
+    variable.
     """
     raw = os.environ.get(SIZE_CAP_ENV)
     if raw is None:
@@ -498,6 +493,16 @@ _GENERATORS = {
 }
 
 
+def check_dense_size(spec: ChainSpec) -> None:
+    """Refuse a spec whose state count exceeds ``dense_size_cap()``, before it is built."""
+    cap = dense_size_cap()
+    if spec.num_states > cap:
+        raise ChainSpecError(
+            f"{spec.family} with {spec.num_states} states exceeds the dense size cap {cap} "
+            f"(override with {SIZE_CAP_ENV})"
+        )
+
+
 def build_chain(spec: ChainSpec) -> TransitionMatrix:
     """Build the transition matrix of a chain family.
 
@@ -511,13 +516,7 @@ def build_chain(spec: ChainSpec) -> TransitionMatrix:
     TransitionMatrix
         Row-stochastic, irreducible, with the family's natural labels.
     """
-    N = spec.num_states
-    cap = dense_size_cap()
-    if N > cap:
-        raise ChainSpecError(
-            f"{spec.family} with {N} states exceeds the dense size cap {cap} "
-            f"(override with {SIZE_CAP_ENV})"
-        )
+    check_dense_size(spec)
     rows, labels = _GENERATORS[spec.family](spec)
     return TransitionMatrix(rows, labels=labels, spec=spec)
 

@@ -29,6 +29,7 @@ from .chains import (
     ReducibleChainError,
     build_chain,
     build_distribution,
+    check_dense_size,
     validate_chain,
 )
 from .hitting import hitting_time_matrix, hitting_time_to, open_out, write_csv
@@ -187,6 +188,24 @@ def _family_spec(family: str, n: int, p: float) -> ChainSpec:
     return ChainSpec(family, n=n, p=p if family == "birth_death" else None)
 
 
+def _row_specs(families, ns, p, out, scenario=None) -> list[ChainSpec]:
+    """The spec of every row, family by family, checked before the first solve: a row
+    over the dense size cap or without a ``paper_example``, or an ``out`` that cannot
+    be opened to append (which creates a missing file empty), is refused here."""
+    specs = [_family_spec(family, n, p) for family in families for n in ns]
+    for spec in specs:
+        check_dense_size(spec)
+        has_example = spec.family == "path" or spec.family == "winning_streak" and spec.n >= 2
+        if scenario == "paper_example" and not has_example:
+            raise ChainSpecError(
+                f"no paper_example for {spec.family} n={spec.n}; only path, winning_streak n >= 2"
+            )
+    if out:
+        with open_out(out, "a"):
+            pass
+    return specs
+
+
 def _seeded_rng(seed: int) -> np.random.Generator:
     """The generator of ``--seed``, a non-negative integer."""
     if seed < 0:
@@ -213,10 +232,10 @@ def cmd_verify(args) -> int:
         raise ChainSpecError(f"--tol must be finite and non-negative, got {args.tol}")
     ns = _parse_n_list(args.n)
     rng = _seeded_rng(args.seed)
+    specs = _row_specs([args.family], ns, args.p, args.out)
     rows = []
     counts = {"PASS": 0, "ERRATUM": 0, "FAIL": 0}
-    for n in ns:
-        spec = _family_spec(args.family, n, args.p)
+    for spec in specs:
         chain = build_chain(spec)
         M = hitting_time_matrix(chain)
         for trial in range(args.trials):
@@ -247,19 +266,12 @@ def _scale_distributions(spec: ChainSpec, chain, scenario: str, rng):
         return _random_pair(rng, N)
     if scenario == "paper_example":
         if spec.family == "winning_streak":
-            n = spec.n
-            if n < 2:
-                raise ChainSpecError("the winning-streak example needs n >= 2")
-            nu = np.full(N, 1.0 / (2 * (n - 1)))
+            nu = np.full(N, 1.0 / (2 * (spec.n - 1)))
             nu[-1] = 0.5
             return build_distribution(DistSpec(kind="dirac", at=1), chain), ProbabilityVector(nu)
-        if spec.family == "path":
-            mu = build_distribution(DistSpec(kind="uniform"), chain)
-            nu = build_distribution(DistSpec(kind="binomial", p=0.2), chain)
-            return mu, nu
-        raise ChainSpecError(
-            f"paper_example is defined for winning_streak and path, not {spec.family!r}"
-        )
+        mu = build_distribution(DistSpec(kind="uniform"), chain)  # path: _row_specs refused others
+        nu = build_distribution(DistSpec(kind="binomial", p=0.2), chain)
+        return mu, nu
     return None
 
 
@@ -308,10 +320,8 @@ def cmd_scale(args) -> int:
             "to sit below the solver value (see README)"
         )
     rng = _seeded_rng(args.seed)
-    rows = []
-    for family in families:
-        for n in ns:
-            rows.append(_sweep_row(_family_spec(family, n, args.p), args.scenario, rng))
+    specs = _row_specs(families, ns, args.p, args.out, args.scenario)
+    rows = [_sweep_row(spec, args.scenario, rng) for spec in specs]
     if args.out:
         write_csv(args.out, SWEEP_COLUMNS, ([r[c] for c in SWEEP_COLUMNS] for r in rows))
     summary = []

@@ -3,10 +3,11 @@
 The solver is the arbiter for every closed form in this package.  Each
 chain takes its route off its edge list: a tridiagonal chain (path,
 birth-death) reads its hitting columns, stationary law and transport
-scan off its step times, in O(N); every other chain takes one dense
-state reduction, O(N^3), whose factors serve ``stationary_distribution``,
-``transport_scan`` and ``hitting_time_matrix``, or a partial-pivoted LU
-per column in ``hitting_time_to``.  Desk-scale by design; the state-count
+scan off its step times, in O(N); on every other chain each call of
+``stationary_distribution``, ``transport_scan`` or ``hitting_time_matrix``
+reduces the states once, O(N^3), and reads the factored result by
+triangular solves alone, while ``hitting_time_to`` factors a
+partial-pivoted LU per column.  Desk-scale by design; the state-count
 ceiling is ``chains.dense_size_cap()``.  ``write_csv`` is the package's
 one CSV writer.
 """
@@ -104,11 +105,11 @@ class HittingTimeMatrix:
 
 
 @contextlib.contextmanager
-def open_out(path):
+def open_out(path, mode: str = "w"):
     """``path`` opened for writing, line ends untranslated as the csv module needs;
     an OSError opening or writing it is bad input."""
     try:
-        with open(path, "w", newline="") as fh:
+        with open(path, mode, newline="") as fh:
             yield fh
     except OSError as exc:
         raise ChainSpecError(f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -259,10 +260,11 @@ def _state_reduction(P: TransitionMatrix) -> np.ndarray:
     """Blocked Grassmann-Taksar-Heyman reduction of a chain, as one array.
 
     Fold state k into states 0..k-1 for k = N-1 down to 1: divide column
-    k by the pivot s_k = sum_{j<k} a_kj, then add the outer product of
-    column k and row k to the leading block.  The returned array keeps,
-    for every k, the row of state k as it was folded in ``A[k, :k]``
-    (so the pivot is its sum) and the divided column in ``A[:k, k]``.
+    k by its pivot, the row sum sum_{j<k} a_kj, then add the outer
+    product of column k and row k to the leading block.  The returned
+    array keeps, for every k, the row of state k as it was folded in
+    ``A[k, :k]``, its pivot in ``A[k, k]`` and the divided column in
+    ``A[:k, k]``: the factored form of ``_grounded_factors``.
 
     States fold in panels of ``STATIONARY_PANEL``.  Inside a panel, each
     state first receives the pending updates of the panel states folded
@@ -286,7 +288,8 @@ def _state_reduction(P: TransitionMatrix) -> np.ndarray:
         for k in range(hi - 1, lo - 1, -1):
             A[k, :lo] += A[k, k + 1 : hi] @ A[k + 1 : hi, :lo]
             A[:lo, k] += A[:lo, k + 1 : hi] @ A[k + 1 : hi, k]
-            A[:k, k] /= A[k, :k].sum()
+            A[k, k] = A[k, :k].sum()
+            A[:k, k] /= A[k, k]
             A[lo:k, lo:k] += np.outer(A[lo:k, k], A[k, lo:k])
         for r in range(0, lo, _GEMM_ROWS):
             rows = slice(r, min(r + _GEMM_ROWS, lo))
@@ -295,30 +298,19 @@ def _state_reduction(P: TransitionMatrix) -> np.ndarray:
     return A
 
 
-def _reduced_stationary(A: np.ndarray) -> ProbabilityVector:
-    """pi from a reduced array: x_0 = 1, x_k = sum_{i<k} x_i a_ik, normalized."""
-    N = A.shape[0]
-    x = np.empty(N)
-    x[0] = 1.0
-    for k in range(1, N):
-        x[k] = x[:k] @ A[:k, k]
-    return ProbabilityVector(x)
-
-
 def stationary_distribution(P: TransitionMatrix) -> ProbabilityVector:
     """Invariant law of an irreducible chain.
 
     A tridiagonal chain is reversible, and ``_balance_law`` reads pi off
-    its detailed-balance ratios in O(N).  Every other chain goes through
-    ``_state_reduction``, then the back-substitution x_0 = 1,
-    x_k = sum_{i<k} x_i a_ik gives pi up to normalization.  Neither
-    route ever subtracts, so each entry of pi keeps a small relative
-    error, however stiff the rates, and the residual of pi P = pi stays
-    near machine precision.
+    its detailed-balance ratios in O(N).  Every other chain reads it off
+    ``_grounded_factors``, by one triangular solve.  Neither route ever
+    subtracts, so each entry of pi keeps a small relative error, however
+    stiff the rates, and the residual of pi P = pi stays near machine
+    precision.
     """
     if _is_tridiagonal(P):
         return _balance_law(P)
-    return _reduced_stationary(_state_reduction(P))
+    return _grounded_factors(P)[1]
 
 
 def _balance_law(P: TransitionMatrix) -> ProbabilityVector:
@@ -365,33 +357,27 @@ def zero_sum(d: np.ndarray) -> np.ndarray:
     return d - (s / math.fsum(magnitude.tolist())) * magnitude
 
 
-def _grounded_factors(P: TransitionMatrix) -> tuple[functools.partial, np.ndarray, np.ndarray]:
+def _grounded_factors(P: TransitionMatrix) -> tuple[functools.partial, ProbabilityVector]:
     """The first-step matrix grounded at state 0, factored by one state reduction, and pi.
 
-    Grounded at state 0, the first-step matrix L' of states 1..N-1
-    (diagonal = off-diagonal row sum) factors as L' = U diag(s) Lo, read
-    off the reduced array A of ``_state_reduction``: unit upper
-    U[i,k] = -a_ik, pivots s_k = sum_{j<k} a_kj, and unit lower
-    Lo[k,j] = -a_kj / s_k.  The factors are kept in A itself, with row
-    and column 0 in place: a zero right-hand side at index 0 between the
-    triangular solves keeps state 0 out of the answer.  Every entry of
-    U^-1 and Lo^-1 is a sum of products of non-negative numbers, so the
-    solves never subtract.
-
-    Returns ``(solve, s, pi)``: ``solve(b, lower=..., trans=...)`` is a
-    unit triangular solve against U (upper) or Lo (lower), and s[0] = 1
-    is never read.
+    Negated off its diagonal, the array A of ``_state_reduction`` holds
+    the first-step matrix of states 1..N-1 (diagonal = off-diagonal row
+    sum) as L' = U L: U unit upper with U[i, k] = -a_ik, and L lower with
+    L[k, j] = -a_kj and the pivot L[k, k] = sum_{j<k} a_kj.  Row and
+    column 0 stay in place, with L[0, 0] = 1, and a zero right-hand side
+    at index 0 between the two solves keeps state 0 out of the answer.
+    pi solves x U = e_0 up to normalization: x_0 = 1, x_k = sum_{i<k}
+    x_i a_ik.  Every entry of U^-1 and L^-1 is a sum of products of
+    non-negative numbers over pivots, so no solve ever subtracts.
+    Returns ``(solve, pi)``, with ``solve`` the ``solve_triangular`` of
+    that array: ``unit_diagonal=True`` solves with U, ``lower=True`` with L.
     """
     A = _state_reduction(P)
-    pi = _reduced_stationary(A).weights
-    N = A.shape[0]
-    s = np.ones(N)
-    for k in range(1, N):
-        s[k] = A[k, :k].sum()
-        A[k, :k] /= s[k]
     np.negative(A, out=A)
-    solve = functools.partial(solve_triangular, A, unit_diagonal=True, check_finite=False)
-    return solve, s, pi
+    np.fill_diagonal(A, -A.diagonal())
+    A[0, 0] = 1.0
+    solve = functools.partial(solve_triangular, A, check_finite=False)
+    return solve, ProbabilityVector(solve(np.eye(1, A.shape[0])[0], trans="T", unit_diagonal=True))
 
 
 @np.errstate(all="ignore")  # a non-finite result is refused, not warned about
@@ -404,9 +390,9 @@ def transport_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, floa
     (d @ M)_j = d.h0 - y_j / pi_j (Kemeny-Snell) off one
     ``_state_reduction``.  Here y (I - P) = d with y_0 = 0, and h0 is
     the hitting column to state 0; the identity needs sum(d) = 0.  With
-    the grounded factors L' = U diag(s) Lo of ``_grounded_factors``,
-    h0 = L'^-1 1, and with d split into d+ = max(d, 0) and
-    d- = max(-d, 0), y = (d+ - d-) L'^-1.
+    the factors L' = U L of ``_grounded_factors``, h0 = L^-1 U^-1 1, and
+    with d split into d+ = max(d, 0) and d- = max(-d, 0),
+    y = (d+ - d-) L^-1 U^-1.
 
     Every solve adds products of non-negative numbers, so the only
     cancellation is in the final difference, and eps times the sum of
@@ -415,16 +401,15 @@ def transport_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, floa
     d = zero_sum(d)
     if _is_tridiagonal(P):
         return _tridiagonal_scan(P, d)
-    solve, s, pi = _grounded_factors(P)
-    N = s.shape[0]
-    r = solve(np.ones(N))
+    solve, pi = _grounded_factors(P)
+    r = solve(np.ones(pi.dim), unit_diagonal=True)
     r[0] = 0.0
-    h0 = solve(r / s, lower=True)
+    h0 = solve(r, lower=True)
     rhs = np.column_stack([np.maximum(d, 0.0), np.maximum(-d, 0.0)])
     rhs[0] = 0.0
     z = solve(rhs, lower=True, trans="T")
     z[0] = 0.0
-    ab = solve(z / s[:, None], trans="T") / pi[:, None]
+    ab = solve(z, trans="T", unit_diagonal=True) / pi.weights[:, None]
     a, b = ab[:, 0], ab[:, 1]
     hp, hm = rhs[:, 0] @ h0, rhs[:, 1] @ h0
     per_target = (hp - hm) - (a - b)
@@ -464,9 +449,9 @@ def _tridiagonal_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, f
 def _grounded_matrix(P: TransitionMatrix) -> np.ndarray:
     """All-pairs hitting times from one state reduction, by Kemeny-Snell.
 
-    G = L'^-1, grounded at state 0 and padded with a zero row and column
-    0, takes two triangular solves with N right-hand sides on the
-    factors of ``_grounded_factors``; then h0 = G 1 and
+    G = L'^-1 = L^-1 U^-1, grounded at state 0 and padded with a zero
+    row and column 0, takes two triangular solves with N right-hand
+    sides on the factors of ``_grounded_factors``; then h0 = G 1 and
 
         M_ij = (G_jj - G_ij) / pi_j + h0_i - h0_j,    M_jj = 0,
 
@@ -475,13 +460,13 @@ def _grounded_matrix(P: TransitionMatrix) -> np.ndarray:
     entries of G keep a small relative error, and the cancellation in M
     is what ``_column_bounds`` certifies.
     """
-    solve, s, pi = _grounded_factors(P)
-    G = solve(np.eye(s.shape[0]))  # U^-1
+    solve, pi = _grounded_factors(P)
+    G = solve(np.eye(pi.dim), unit_diagonal=True)  # U^-1
     G[0] = 0.0
-    G = solve(G / s[:, None], lower=True)
+    G = solve(G, lower=True, overwrite_b=True)
     h0 = G.sum(axis=1)
     M = np.subtract(G.diagonal().copy(), G, out=G)  # G_jj - G_ij
-    M /= pi
+    M /= pi.weights
     M += h0[:, None] - h0
     np.fill_diagonal(M, 0.0)
     return M

@@ -38,6 +38,9 @@ from .chains import ChainSpecError, ProbabilityVector, TransitionMatrix, tv_dist
 from .hitting import HittingTimeMatrix, _require_solvable, hitting_time_matrix
 
 MIN_SAMPLES = 1000
+#: refuse more walks than this before the first draw: a run holds about 64 bytes
+#: per walk, and the bound on samples * E[T] caps nothing when E[T] is near 0
+MAX_SAMPLES = 10**7
 
 #: entries of the (K - 1) x m comparison table one step gathers at once:
 #: walks are compared in blocks of this many entries, 2 MiB of floats, so a
@@ -192,7 +195,7 @@ def simulate_rule(
     mu, nu : ProbabilityVector
         Source and target laws.
     samples : int
-        Trajectory count, at least 1000.
+        Trajectory count, from ``MIN_SAMPLES`` to ``MAX_SAMPLES``.
     seed : int
         Philox key in [0, 2**128); identical seeds reproduce the report bit
         for bit.
@@ -206,12 +209,14 @@ def simulate_rule(
     Raises
     ------
     ChainSpecError
-        Fewer than ``MIN_SAMPLES`` samples, laws off the state space, a
-        seed outside [0, 2**128), or an expected total of
+        A sample count outside [``MIN_SAMPLES``, ``MAX_SAMPLES``], laws off
+        the state space, a seed outside [0, 2**128), or an expected total of
         ``samples * theoretical_mean`` steps above ``MAX_EXPECTED_STEPS``.
     """
     if samples < MIN_SAMPLES:
         raise ChainSpecError(f"need at least {MIN_SAMPLES} samples, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ChainSpecError(f"{samples} samples exceed the cap of {MAX_SAMPLES:.0e} walks")
     if mu.dim != P.size or nu.dim != P.size:
         raise ChainSpecError("distributions do not match the chain's state space")
     rng = _philox(seed)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -496,6 +497,53 @@ def test_unwritable_out_path_exits_2(capsys, tmp_path, argv):
     assert code == 2 and stdout == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "env, argv",
+    [
+        ({"ACCESS_TIME_MAX_N": "64"}, ["verify", "--family", "complete", "--n", "1..70",
+                                       "--trials", "1"]),
+        ({}, ["verify", "--family", "complete", "--n", "2..5", "--trials", "3",
+              "--out", "{missing}"]),
+        ({}, ["verify", "--family", "winning_streak", "--n", "2..40", "--trials", "100",
+              "--out", "{missing}"]),
+        ({}, ["scale", "--families", "path,bogus", "--n", "2..30"]),
+        ({}, ["scale", "--families", "path,star", "--n", "2..30", "--scenario", "paper_example"]),
+        ({"ACCESS_TIME_MAX_N": "64"}, ["scale", "--families", "path,complete", "--n", "60..70"]),
+        ({}, ["scale", "--families", "path", "--n", "2..30", "--out", "{missing}"]),
+    ],
+    ids=["verify-cap", "verify-out", "verify-out-streak", "scale-family", "scale-scenario",
+         "scale-cap", "scale-out"],
+)
+def test_verify_and_scale_refuse_before_the_first_solve(capsys, monkeypatch, tmp_path, env, argv):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    refuse = mock.Mock(side_effect=AssertionError("solved before refusing"))
+    monkeypatch.setattr("access_time.cli.hitting_time_matrix", refuse)
+    monkeypatch.setattr("access_time.cli.hitting_time_to", refuse)
+    missing = tmp_path / "missing" / "x.csv"
+    argv = [str(missing) if a == "{missing}" else a for a in argv]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2 and stdout == "" and not refuse.called
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_out_check_leaves_an_existing_file_as_it_was(capsys, monkeypatch, tmp_path):
+    out = tmp_path / "x.csv"
+    out.write_text("kept\n")
+    fail = mock.Mock(side_effect=np.linalg.LinAlgError("singular first-step system"))
+    monkeypatch.setattr("access_time.cli.hitting_time_to", fail)
+    code, _, _ = run_cli(capsys, "scale", "--families", "path", "--n", "2", "--out", str(out))
+    assert code == 3 and fail.called and out.read_text() == "kept\n"
+
+
+def test_simulate_refuses_more_walks_than_a_run_can_hold(capsys):
+    code, stdout, err = run_cli(capsys, "simulate", "--chain", '{"family":"path","n":1}',
+                                "--mu", "dirac:0", "--nu", "dirac:0",
+                                "--samples", "1000000000000", "--seed", "1")
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and "samples" in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that fails writes")

@@ -319,6 +319,20 @@ def test_state_reduction_keeps_every_folded_row_and_column(panel, chunk, monkeyp
             np.testing.assert_allclose(A[:k, k], ref[:k, k], rtol=1e-13)
 
 
+@pytest.mark.parametrize("panel, chunk", [(3, 2), (64, 256)])
+def test_state_reduction_keeps_each_pivot_on_the_diagonal(panel, chunk, monkeypatch, rng):
+    monkeypatch.setattr(hitting, "STATIONARY_PANEL", panel)
+    monkeypatch.setattr(hitting, "_GEMM_ROWS", chunk)
+    for chain in (
+        build_chain(ChainSpec("star", n=40)),
+        build_chain(ChainSpec("graph", edges=random_connected_graph(41, rng, extra_edges=30))),
+        doubly_stochastic_chain(43, rng),
+    ):
+        A = hitting._state_reduction(chain)
+        for k in range(1, chain.size):
+            assert A[k, k] == A[k, :k].sum() > 0.0
+
+
 # --- max hitting, symmetry ------------------------------------------------------
 
 

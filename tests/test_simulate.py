@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -111,6 +112,26 @@ def test_simulate_rule_validation():
         simulate_rule(chain, uni, uni, samples=10)
     with pytest.raises(ChainSpecError, match="state space"):
         simulate_rule(chain, dirac(0, 3), uni)
+
+
+@pytest.mark.parametrize("samples", [10**12, 2 * 10**9, simulate.MAX_SAMPLES + 1])
+def test_sample_count_past_the_cap_is_refused_before_any_solve_or_draw(samples, monkeypatch):
+    # mu = nu: E[T] = 0, so the bound on samples * E[T] alone lets any count through
+    chain = build_chain(ChainSpec("path", n=1))
+    refuse = mock.Mock(side_effect=AssertionError("solved or drew before refusing"))
+    monkeypatch.setattr(simulate, "hitting_time_matrix", refuse)
+    monkeypatch.setattr(simulate, "_philox", refuse)
+    with pytest.raises(ChainSpecError, match="samples exceed"):
+        simulate_rule(chain, dirac(0, 2), dirac(0, 2), samples=samples, seed=1)
+    assert not refuse.called
+
+
+def test_sample_cap_admits_its_own_count(monkeypatch):
+    chain = build_chain(ChainSpec("path", n=2))
+    monkeypatch.setattr(simulate, "MAX_SAMPLES", 2000)
+    assert simulate_rule(chain, dirac(0, 3), dirac(2, 3), samples=2000, seed=3).samples == 2000
+    with pytest.raises(ChainSpecError, match="2001 samples exceed"):
+        simulate_rule(chain, dirac(0, 3), dirac(2, 3), samples=2001, seed=3)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128, 2**200])

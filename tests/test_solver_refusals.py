@@ -220,3 +220,34 @@ def test_zero_sum_keeps_support_and_exact_differences():
     # the scan projects what it is given, so it reads d and its projection alike
     for a, b in zip(transport_scan(chain, d), transport_scan(chain, projected)):
         assert np.array_equal(a, b)
+
+
+#: stiff chains as {(i, j): (m, e)} for the rate m * 2**-e, with a dyadic pair
+#: whose scan the gate refuses; the matrix route then reads a refused LU column
+STIFF_MATRIX_ROUTE = [
+    ({(0, 1): (57, 44), (0, 3): (99, 42), (0, 4): (19, 21), (1, 2): (173, 42), (1, 3): (13, 10),
+      (2, 0): (43, 22), (2, 1): (155, 42), (2, 3): (13, 14), (2, 4): (55, 35), (3, 4): (5, 9),
+      (4, 0): (81, 31), (4, 3): (113, 25)},
+     [2, 6, 4, 2, 2], [3, 1, 4, 4, 4]),
+    ({(0, 1): (9, 17), (0, 2): (203, 39), (0, 3): (15, 23), (1, 2): (119, 21), (2, 1): (7, 11),
+      (2, 3): (243, 35), (3, 0): (59, 38), (3, 1): (137, 13), (3, 2): (43, 26)},
+     [4, 4, 5, 3], [4, 3, 3, 6]),
+]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the matrix route keeps a partial-pivoted LU column that its own certificate "
+    "refuses (column_bound 6.8e4 and 31): ROADMAP item 2(b)",
+)
+def test_matrix_route_after_a_refused_scan_matches_exact_elimination():
+    for rates, mu, nu in STIFF_MATRIX_ROUTE:
+        N = len(mu)
+        rows = _chain({k: m * 2.0**-e for k, (m, e) in rates.items()}, N)
+        mu, nu = _law(mu), _law(nu)
+        E = fraction_hitting_matrix(rows)
+        d = [Fraction(float(a)) - Fraction(float(b)) for a, b in zip(mu.weights, nu.weights)]
+        exact = max(sum(d[i] * E[i][j] for i in range(N)) for j in range(N))
+        result = access_time(TransitionMatrix(rows), mu, nu)
+        assert result.route == "matrix"
+        assert abs(Fraction(result.value) - exact) <= 1e-10 * abs(exact)

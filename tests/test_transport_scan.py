@@ -101,7 +101,7 @@ CANCELLING_SCANS = [
      [0.25, 0.25, 0.5], [0.1875, 0.625, 0.1875]),
     ({(0, 1): (3, 42), (1, 0): (173, 12), (1, 2): (77, 36), (1, 3): (126, 12),
       (2, 0): (188, 44), (2, 1): (75, 44), (2, 3): (99, 12), (3, 0): (70, 24)},
-     [0.25, 0.1875, 0.4375, 0.125], [0.25, 0.1875, 0.25, 0.3125]),
+     [0.1875, 0.0, 0.75, 0.0625], [0.1875, 0.0, 0.1875, 0.625]),
 ]
 
 

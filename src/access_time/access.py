@@ -31,6 +31,7 @@ from .chains import (
     ProbabilityVector,
     TransitionMatrix,
     build_chain,
+    frozen,
     tv_distance,
 )
 from .hitting import (
@@ -70,9 +71,7 @@ class AccessResult:
     error_bound: float | None = None
 
     def __post_init__(self) -> None:
-        per_target = np.asarray(self.per_target, dtype=float).copy()
-        per_target.setflags(write=False)
-        object.__setattr__(self, "per_target", per_target)
+        object.__setattr__(self, "per_target", frozen(self.per_target))
 
     def to_json(self) -> dict:
         return {
@@ -113,8 +112,7 @@ class FamilyReport:
         return out
 
 
-def _check_pair(P_or_N, mu: ProbabilityVector, nu: ProbabilityVector) -> None:
-    N = P_or_N if isinstance(P_or_N, int) else P_or_N.size
+def _check_pair(N: int, mu: ProbabilityVector, nu: ProbabilityVector) -> None:
     if mu.dim != N or nu.dim != N:
         raise ChainSpecError(
             f"distributions of dim {mu.dim}/{nu.dim} do not match the {N}-state chain"
@@ -146,7 +144,7 @@ def access_time(
     AccessResult
         Value, maximizing target index, per-target scores and the route.
     """
-    _check_pair(P, mu, nu)
+    _check_pair(P.size, mu, nu)
     d = mu.weights - nu.weights
     if hitting is None:
         scores, bound = transport_scan(P, d)
@@ -380,7 +378,7 @@ def symmetric_walk_access(
     """
     if direction not in ("from_pi", "to_pi"):
         raise ChainSpecError(f"direction must be from_pi or to_pi, got {direction!r}")
-    _check_pair(P, dist, dist)
+    _check_pair(P.size, dist, dist)
     M = hitting if hitting is not None else hitting_time_matrix(P)
     symmetric, asym = is_hitting_symmetric(P, hitting=M)
     if not symmetric:

@@ -96,6 +96,25 @@ def dense_size_cap() -> int:
     return cap
 
 
+def check_dense_size(states: int, what: str = "chain") -> None:
+    """Refuse more than ``dense_size_cap()`` states: the one state-cap check, run on a
+    spec before its chain is built and on a chain before it is solved."""
+    cap = dense_size_cap()
+    if states > cap:
+        raise ChainSpecError(
+            f"{what} with {states} states exceeds the dense size cap {cap} "
+            f"(override with {SIZE_CAP_ENV})"
+        )
+
+
+def frozen(values, dtype=float) -> np.ndarray:
+    """A read-only C-ordered copy of ``values``, as an array of ``dtype`` (None keeps
+    the input's): the one way every value type here stores an array."""
+    out = np.array(values, dtype=dtype, order="C")
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Family name plus the parameters needed to build the chain.
@@ -212,7 +231,7 @@ class TransitionMatrix:
     spec: ChainSpec | None = None
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=float)
+        rows = frozen(self.rows)
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
             raise ChainSpecError(f"transition matrix must be square, got shape {rows.shape}")
         if not np.all(np.isfinite(rows)):
@@ -222,8 +241,6 @@ class TransitionMatrix:
         residual = np.abs(rows.sum(axis=1) - 1.0).max()
         if residual > ROW_SUM_HARD_TOL:
             raise ChainSpecError(f"rows are not stochastic, worst residual {residual:.3e}")
-        rows = rows.copy()
-        rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         labels = self.labels
         if labels is None:
@@ -296,9 +313,7 @@ class TransitionMatrix:
         t = 0.0
         for k in range(N - 2, -1, -1):
             t = down[k] = (1.0 + ahead[k + 1] * t) / behind[k + 1]
-        up.setflags(write=False)
-        down.setflags(write=False)
-        return up, down
+        return frozen(up), frozen(down)
 
     def integer_labels(self) -> np.ndarray:
         """Labels as an integer array; rejects bit-string labelled chains."""
@@ -344,9 +359,7 @@ class ProbabilityVector:
         total = w.sum()
         if not np.isfinite(total) or total <= 0.0:
             raise ChainSpecError("weights must have a positive finite sum")
-        w = w / total
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", frozen(w / total))
 
     @property
     def dim(self) -> int:
@@ -493,16 +506,6 @@ _GENERATORS = {
 }
 
 
-def check_dense_size(spec: ChainSpec) -> None:
-    """Refuse a spec whose state count exceeds ``dense_size_cap()``, before it is built."""
-    cap = dense_size_cap()
-    if spec.num_states > cap:
-        raise ChainSpecError(
-            f"{spec.family} with {spec.num_states} states exceeds the dense size cap {cap} "
-            f"(override with {SIZE_CAP_ENV})"
-        )
-
-
 def build_chain(spec: ChainSpec) -> TransitionMatrix:
     """Build the transition matrix of a chain family.
 
@@ -516,7 +519,7 @@ def build_chain(spec: ChainSpec) -> TransitionMatrix:
     TransitionMatrix
         Row-stochastic, irreducible, with the family's natural labels.
     """
-    check_dense_size(spec)
+    check_dense_size(spec.num_states, spec.family)
     rows, labels = _GENERATORS[spec.family](spec)
     return TransitionMatrix(rows, labels=labels, spec=spec)
 
@@ -605,12 +608,8 @@ class MomentBundle:
         if values.shape != weights.shape:
             raise ChainSpecError("labels and weights must align")
         order = np.argsort(values, kind="stable")
-        values = values[order]
-        weights = weights[order]
-        values.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "values", frozen(values[order], dtype=None))
+        object.__setattr__(self, "weights", frozen(weights[order]))
 
     @property
     def mean(self) -> float:
@@ -718,11 +717,11 @@ def validate_chain(P: TransitionMatrix) -> ChainDiagnostics:
     period = None
     aperiodic = None
     if irreducible:
-        from .hitting import detailed_balance_residual, stationary_distribution
+        from .hitting import REVERSIBLE_TOL, detailed_balance_residual, stationary_distribution
 
         pi = stationary_distribution(P)
         db_residual = detailed_balance_residual(P, pi)
-        reversible = db_residual <= 1e-10
+        reversible = db_residual <= REVERSIBLE_TOL
         period = _chain_period(P)
         aperiodic = period == 1
     return ChainDiagnostics(

@@ -17,6 +17,7 @@ import functools
 import json
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,17 +39,20 @@ from .simulate import simulate_rule
 CLOSED_FORM_FAMILIES = tuple(CLOSED_FORMS)
 SCALE_SCENARIOS = ("worst_dirac", "random_pair", "paper_example")
 
-SWEEP_COLUMNS = (
-    "family",
-    "n",
-    "p",
-    "scenario",
-    "H",
-    "bound_lower",
-    "bound_upper",
-    "max_hitting",
-    "wall_time_ms",
-)
+
+class SweepRow(NamedTuple):
+    """One row of a ``scale`` sweep; the field names are the ``--out`` CSV header."""
+
+    family: str
+    n: int
+    p: float | None
+    scenario: str
+    H: float
+    bound_lower: float
+    bound_upper: float
+    max_hitting: float
+    wall_time_ms: float
+
 
 VERIFY_COLUMNS = (
     "family",
@@ -157,11 +161,16 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_compute(args) -> int:
+def _chain_and_laws(args) -> tuple:
+    """The ``--chain`` spec, its chain, and the ``--mu`` and ``--nu`` laws on it."""
     spec = _parse_chain(args.chain)
     chain = build_chain(spec)
-    mu = build_distribution(parse_dist_shorthand(args.mu), chain)
-    nu = build_distribution(parse_dist_shorthand(args.nu), chain)
+    mu, nu = (build_distribution(parse_dist_shorthand(text), chain) for text in (args.mu, args.nu))
+    return spec, chain, mu, nu
+
+
+def cmd_compute(args) -> int:
+    spec, chain, mu, nu = _chain_and_laws(args)
     result = access_time(chain, mu, nu)
     payload = result.to_json()
     if args.closed_form:
@@ -194,7 +203,7 @@ def _row_specs(families, ns, p, out, scenario=None) -> list[ChainSpec]:
     be opened to append (which creates a missing file empty), is refused here."""
     specs = [_family_spec(family, n, p) for family in families for n in ns]
     for spec in specs:
-        check_dense_size(spec)
+        check_dense_size(spec.num_states, spec.family)
         has_example = spec.family == "path" or spec.family == "winning_streak" and spec.n >= 2
         if scenario == "paper_example" and not has_example:
             raise ChainSpecError(
@@ -275,7 +284,7 @@ def _scale_distributions(spec: ChainSpec, chain, scenario: str, rng):
     return None
 
 
-def _sweep_row(spec: ChainSpec, scenario: str, rng) -> dict:
+def _sweep_row(spec: ChainSpec, scenario: str, rng) -> SweepRow:
     t0 = time.perf_counter()
     chain = build_chain(spec)
     pair = _scale_distributions(spec, chain, scenario, rng)
@@ -295,17 +304,7 @@ def _sweep_row(spec: ChainSpec, scenario: str, rng) -> dict:
     else:
         lower, upper = 0.0, max_hit
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    return {
-        "family": spec.family,
-        "n": spec.n,
-        "p": spec.p,
-        "scenario": scenario,
-        "H": H,
-        "bound_lower": lower,
-        "bound_upper": upper,
-        "max_hitting": max_hit,
-        "wall_time_ms": wall_ms,
-    }
+    return SweepRow(spec.family, spec.n, spec.p, scenario, H, lower, upper, max_hit, wall_ms)
 
 
 def cmd_scale(args) -> int:
@@ -323,12 +322,12 @@ def cmd_scale(args) -> int:
     specs = _row_specs(families, ns, args.p, args.out, args.scenario)
     rows = [_sweep_row(spec, args.scenario, rng) for spec in specs]
     if args.out:
-        write_csv(args.out, SWEEP_COLUMNS, ([r[c] for c in SWEEP_COLUMNS] for r in rows))
+        write_csv(args.out, SweepRow._fields, rows)
     summary = []
     for family in families:
-        frows = [r for r in rows if r["family"] == family]
-        ns_f = np.array([r["n"] for r in frows], dtype=float)
-        hs = np.array([r["H"] for r in frows], dtype=float)
+        frows = [r for r in rows if r.family == family]
+        ns_f = np.array([r.n for r in frows], dtype=float)
+        hs = np.array([r.H for r in frows], dtype=float)
         entry: dict = {"family": family, "scenario": args.scenario, "rows": len(frows)}
         positive = np.all(hs > 0)
         fit = positive and np.unique(ns_f).size >= 2  # a line needs two distinct sizes
@@ -347,10 +346,7 @@ def cmd_scale(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec = _parse_chain(args.chain)
-    chain = build_chain(spec)
-    mu = build_distribution(parse_dist_shorthand(args.mu), chain)
-    nu = build_distribution(parse_dist_shorthand(args.nu), chain)
+    _, chain, mu, nu = _chain_and_laws(args)
     report = simulate_rule(chain, mu, nu, samples=args.samples, seed=args.seed)
     _emit_json(report.to_json(), args.out)
     return 0 if report.consistent else 1

@@ -597,8 +597,10 @@ def test_wide_chains_take_the_certified_one_reduction_route(spec, formula):
 
 def test_refused_columns_fall_back_to_the_per_target_solve():
     # entries reach 2**40, so the rounding of the residual alone refuses
-    # 25 of the 40 columns; the per-target LU gets them exactly
+    # 25 of the 40 columns; the per-target LU gets them exactly, and so
+    # does the one reduction: the certificate refuses them, not an error
     chain = build_chain(ChainSpec("winning_streak", n=40))
+    assert np.array_equal(hitting._grounded_matrix(chain), winning_streak_hitting_formula(40))
     with mock.patch.object(hitting, "hitting_time_to", wraps=hitting.hitting_time_to) as column:
         M = hitting_time_matrix(chain)
     refused = [call.args[1] for call in column.call_args_list]

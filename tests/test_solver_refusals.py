@@ -251,3 +251,28 @@ def test_matrix_route_after_a_refused_scan_matches_exact_elimination():
         result = access_time(TransitionMatrix(rows), mu, nu)
         assert result.route == "matrix"
         assert abs(Fraction(result.value) - exact) <= 1e-10 * abs(exact)
+
+
+#: the 7-state draw of bandwidth (1, 2) that ``test_banded_columns_match_exact_elimination``
+#: shrinks to at --hypothesis-seed=17, as {(i, j): (m, e)} for the rate m * 2**-e
+BANDED_LU_DRAW = {
+    (0, 1): (1, 11), (1, 0): (1, 11), (1, 2): (1, 11), (1, 3): (1, 11), (2, 1): (1, 11),
+    (2, 3): (3, 11), (3, 2): (1, 21), (3, 4): (2, 11), (4, 3): (1, 44),
+    (4, 5): (27, 11), (5, 4): (1, 11), (5, 6): (203, 28), (6, 5): (3, 11),
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the partial-pivoted LU column to target 0 reads E_1[tau_0] as -6.2e21, exact "
+    "7.1e18, and the matrix route keeps it at column_bound 2.9e5: ROADMAP items 1 and 2",
+)
+def test_banded_lu_column_matches_exact_elimination():
+    rows = _chain({k: m * 2.0**-e for k, (m, e) in BANDED_LU_DRAW.items()}, 7)
+    chain = TransitionMatrix(rows)
+    assert chain.bandwidth == (1, 2)  # the dense route
+    exact = fraction_hitting_matrix(rows)[1][0]
+    for got in (hitting_time_to(chain, 0)[1], hitting_time_matrix(chain).values[1, 0]):
+        assert got > 0.0, f"negative hitting time {got} from state 1 to state 0"
+        assert abs(Fraction(got) - exact) <= Fraction(1e-10) * exact

@@ -31,6 +31,7 @@ from .chains import (
     ProbabilityVector,
     TransitionMatrix,
     build_chain,
+    check_laws,
     frozen,
     tv_distance,
 )
@@ -112,13 +113,6 @@ class FamilyReport:
         return out
 
 
-def _check_pair(N: int, mu: ProbabilityVector, nu: ProbabilityVector) -> None:
-    if mu.dim != N or nu.dim != N:
-        raise ChainSpecError(
-            f"distributions of dim {mu.dim}/{nu.dim} do not match the {N}-state chain"
-        )
-
-
 def access_time(
     P: TransitionMatrix,
     mu: ProbabilityVector,
@@ -144,7 +138,7 @@ def access_time(
     AccessResult
         Value, maximizing target index, per-target scores and the route.
     """
-    _check_pair(P.size, mu, nu)
+    check_laws(P.size, mu, nu)
     d = mu.weights - nu.weights
     if hitting is None:
         scores, bound = transport_scan(P, d)
@@ -278,7 +272,7 @@ def family_report(
     form = CLOSED_FORMS.get(spec.family)
     if form is None:
         raise ChainSpecError(f"family {spec.family!r} has no closed-form transport formula")
-    _check_pair(spec.num_states, mu, nu)
+    check_laws(spec.num_states, mu, nu)
     if solver_value is None and hitting is None:
         solver_value = access_time(build_chain(spec), mu, nu).value
     elif solver_value is None:
@@ -339,11 +333,7 @@ class GeneralBounds:
     connected_graph_bound: float | None
 
     def to_json(self) -> dict:
-        return {
-            "max_hitting": self.max_hitting,
-            "argmax_pair": list(self.argmax_pair),
-            "connected_graph_bound": self.connected_graph_bound,
-        }
+        return asdict(self)
 
 
 def general_bounds(
@@ -378,7 +368,7 @@ def symmetric_walk_access(
     """
     if direction not in ("from_pi", "to_pi"):
         raise ChainSpecError(f"direction must be from_pi or to_pi, got {direction!r}")
-    _check_pair(P.size, dist, dist)
+    check_laws(P.size, dist)
     M = hitting if hitting is not None else hitting_time_matrix(P)
     symmetric, asym = is_hitting_symmetric(P, hitting=M)
     if not symmetric:

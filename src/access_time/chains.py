@@ -40,7 +40,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 ROW_SUM_HARD_TOL = 1e-9
-WINNING_STREAK_MAX_N = 40  # 2**n exhausts the 53-bit mantissa beyond this
 
 SIZE_CAP_ENV = "ACCESS_TIME_MAX_N"
 DEFAULT_SIZE_CAP = 4096
@@ -107,6 +106,13 @@ def check_dense_size(states: int, what: str = "chain") -> None:
         )
 
 
+def check_laws(states: int, *laws: ProbabilityVector) -> None:
+    """Refuse laws off a chain of ``states`` states: the one dimension check of laws."""
+    if any(law.dim != states for law in laws):
+        dims = "/".join(str(law.dim) for law in laws)
+        raise ChainSpecError(f"laws of dim {dims} do not match the state space of {states} states")
+
+
 def frozen(values, dtype=float) -> np.ndarray:
     """A read-only C-ordered copy of ``values``, as an array of ``dtype`` (None keeps
     the input's): the one way every value type here stores an array."""
@@ -125,6 +131,12 @@ class ChainSpec:
     edge list).  ``p`` is accepted by ``birth_death`` only and must lie in
     (0, 1/2].  ``edges`` is required by (and exclusive to) ``graph``.
     """
+
+    #: every per-family ceiling on n, with its reason, checked before num_states is formed
+    CEILINGS = {
+        "winning_streak": (40, "2**n exhausts the 53-bit mantissa beyond it"),
+        "hypercube": (62, "2**62 states is the largest power of two a signed 64-bit count holds"),
+    }
 
     family: str
     n: int | None = None
@@ -150,11 +162,9 @@ class ChainSpec:
             object.__setattr__(self, "p", float(self.p))
         elif self.p is not None:
             raise ChainSpecError(f"{self.family} does not take a p parameter")
-        if self.family == "winning_streak" and self.n > WINNING_STREAK_MAX_N:
-            raise ChainSpecError(
-                f"winning_streak is capped at n = {WINNING_STREAK_MAX_N}; "
-                f"2**{self.n} is not exactly representable in double precision"
-            )
+        max_n, reason = self.CEILINGS.get(self.family, (self.n, ""))
+        if self.n > max_n:
+            raise ChainSpecError(f"{self.family} is capped at n = {max_n}: {reason}")
 
     def _init_graph(self) -> None:
         if not isinstance(self.edges, (tuple, list)) or not self.edges:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import time
@@ -36,8 +37,18 @@ from .chains import (
 from .hitting import hitting_time_matrix, hitting_time_to, open_out, write_csv
 from .simulate import simulate_rule
 
-CLOSED_FORM_FAMILIES = tuple(CLOSED_FORMS)
 SCALE_SCENARIOS = ("worst_dirac", "random_pair", "paper_example")
+
+#: the rows ``verify`` and each scale scenario run: a test of a row's spec, and the
+#: reason a row that fails it is refused
+SWEEP_ROWS = {
+    "verify": (lambda s: s.family in CLOSED_FORMS, "it has no closed form to verify"),
+    "worst_dirac": (lambda s: True, ""),
+    "random_pair": (lambda s: s.family != "birth_death", "its closed-form lower bound inherits "
+                    "the downhill branch defect and can sit above the solver value (see README)"),
+    "paper_example": (lambda s: s.family == "path" or s.family == "winning_streak" and s.n >= 2,
+                      "only path and winning_streak n >= 2 have one"),
+}
 
 
 class SweepRow(NamedTuple):
@@ -95,7 +106,7 @@ def parse_dist_shorthand(text: str) -> DistSpec:
         try:
             with open(path) as fh:
                 obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an integer too long
             raise ChainSpecError(f"cannot read distribution file {path!r}: {exc}") from exc
         return DistSpec.from_json(obj)
     raise ChainSpecError(
@@ -106,25 +117,22 @@ def parse_dist_shorthand(text: str) -> DistSpec:
 def _parse_chain(text: str) -> ChainSpec:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer past the digit limit
         raise ChainSpecError(f"chain spec is not valid JSON: {exc}") from exc
     return ChainSpec.from_json(obj)
 
 
-def _parse_n_list(text: str) -> list[int]:
-    """``10`` or ``2..20`` or comma-separated mixes of both."""
-    out: list[int] = []
+def _parse_n_list(text: str) -> list[range]:
+    """``10`` or ``2..20`` or comma-separated mixes of both, one range per part and
+    none of them expanded."""
     try:
+        out = []
         for part in text.split(","):
-            part = part.strip()
-            if ".." in part:
-                lo, hi = part.split("..", 1)
-                out.extend(range(int(lo), int(hi) + 1))
-            else:
-                out.append(int(part))
+            lo, dots, hi = part.partition("..")
+            out.append(range(int(lo), int(hi if dots else lo) + 1))
     except ValueError as exc:
         raise ChainSpecError(f"bad n list {text!r}") from exc
-    if not out or any(n < 1 for n in out):
+    if not any(out) or any(r and r.start < 1 for r in out):
         raise ChainSpecError(f"bad n list {text!r}")
     return out
 
@@ -197,18 +205,20 @@ def _family_spec(family: str, n: int, p: float) -> ChainSpec:
     return ChainSpec(family, n=n, p=p if family == "birth_death" else None)
 
 
-def _row_specs(families, ns, p, out, scenario=None) -> list[ChainSpec]:
-    """The spec of every row, family by family, checked before the first solve: a row
-    over the dense size cap or without a ``paper_example``, or an ``out`` that cannot
-    be opened to append (which creates a missing file empty), is refused here."""
-    specs = [_family_spec(family, n, p) for family in families for n in ns]
-    for spec in specs:
-        check_dense_size(spec.num_states, spec.family)
-        has_example = spec.family == "path" or spec.family == "winning_streak" and spec.n >= 2
-        if scenario == "paper_example" and not has_example:
-            raise ChainSpecError(
-                f"no paper_example for {spec.family} n={spec.n}; only path, winning_streak n >= 2"
-            )
+def _row_specs(families, ns, p, out, sweep) -> list[ChainSpec]:
+    """The spec of every row, family by family, built and checked in order before the
+    first solve: the first row over the dense size cap (a range stops there, as a family
+    has at least n states) or outside ``SWEEP_ROWS[sweep]``, or an ``out`` that cannot be
+    opened to append (which creates a missing file empty), is refused here."""
+    runs, reason = SWEEP_ROWS[sweep]
+    specs = []
+    for family in families:
+        for n in itertools.chain.from_iterable(ns):
+            spec = _family_spec(family, n, p)
+            check_dense_size(spec.num_states, family)
+            if not runs(spec):
+                raise ChainSpecError(f"{family} n={n} is refused by {sweep}: {reason}")
+            specs.append(spec)
     if out:
         with open_out(out, "a"):
             pass
@@ -230,19 +240,14 @@ def _random_pair(rng: np.random.Generator, N: int) -> tuple[ProbabilityVector, P
 
 
 def cmd_verify(args) -> int:
-    if args.family not in CLOSED_FORM_FAMILIES:
-        raise ChainSpecError(
-            f"family {args.family!r} has no closed form to verify; "
-            f"choose one of {CLOSED_FORM_FAMILIES}"
-        )
     if args.trials < 1:
         raise ChainSpecError(f"--trials must be at least 1, got {args.trials}")
     if not 0.0 <= args.tol < np.inf:  # NaN fails every comparison
         raise ChainSpecError(f"--tol must be finite and non-negative, got {args.tol}")
     ns = _parse_n_list(args.n)
     rng = _seeded_rng(args.seed)
-    specs = _row_specs([args.family], ns, args.p, args.out)
-    rows = []
+    specs = _row_specs([args.family], ns, args.p, args.out, "verify")
+    rows = []  # kept only for --out
     counts = {"PASS": 0, "ERRATUM": 0, "FAIL": 0}
     for spec in specs:
         chain = build_chain(spec)
@@ -251,12 +256,13 @@ def cmd_verify(args) -> int:
             mu, nu = _random_pair(rng, chain.size)
             res = verify_family(spec, mu, nu, tol=args.tol, hitting=M)
             counts[res.status] += 1
-            rows.append({"trial": trial, **vars(res)})
+            if args.out:
+                rows.append({"trial": trial, **vars(res)})
     if args.out:
         write_csv(args.out, VERIFY_COLUMNS, ([r[c] for c in VERIFY_COLUMNS] for r in rows))
     print(
         f"{args.family}: {counts['PASS']} PASS, {counts['ERRATUM']} ERRATUM, "
-        f"{counts['FAIL']} FAIL over n in {ns[0]}..{ns[-1]} x {args.trials} trials"
+        f"{counts['FAIL']} FAIL over n in {specs[0].n}..{specs[-1].n} x {args.trials} trials"
     )
     return 0 if counts["FAIL"] == 0 else 1
 
@@ -298,7 +304,7 @@ def _sweep_row(spec: ChainSpec, scenario: str, rng) -> SweepRow:
         mu_v, nu_v = pair
         H = access_time(chain, mu_v, nu_v).value
 
-    if spec.family in CLOSED_FORM_FAMILIES:
+    if spec.family in CLOSED_FORMS:
         report = family_report(spec, mu_v, nu_v, solver_value=H)
         lower, upper = report.lower, report.upper
     else:
@@ -312,12 +318,6 @@ def cmd_scale(args) -> int:
     ns = _parse_n_list(args.n)
     if args.scenario not in SCALE_SCENARIOS:
         raise ChainSpecError(f"scenario must be one of {SCALE_SCENARIOS}")
-    if args.scenario == "random_pair" and "birth_death" in families:
-        raise ChainSpecError(
-            "birth_death random_pair sweeps are refused: the closed-form lower "
-            "bound inherits the downhill branch defect and cannot be guaranteed "
-            "to sit below the solver value (see README)"
-        )
     rng = _seeded_rng(args.seed)
     specs = _row_specs(families, ns, args.p, args.out, args.scenario)
     rows = [_sweep_row(spec, args.scenario, rng) for spec in specs]

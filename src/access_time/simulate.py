@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ChainSpecError, ProbabilityVector, TransitionMatrix, tv_distance
+from .chains import ChainSpecError, ProbabilityVector, TransitionMatrix, check_laws, tv_distance
 from .hitting import HittingTimeMatrix, _require_solvable, hitting_time_matrix
 
 MIN_SAMPLES = 1000
@@ -217,8 +217,7 @@ def simulate_rule(
         raise ChainSpecError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     if samples > MAX_SAMPLES:
         raise ChainSpecError(f"{samples} samples exceed the cap of {MAX_SAMPLES:.0e} walks")
-    if mu.dim != P.size or nu.dim != P.size:
-        raise ChainSpecError("distributions do not match the chain's state space")
+    check_laws(P.size, mu, nu)
     rng = _philox(seed)
     _require_solvable(P)
 

@@ -9,7 +9,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from access_time.chains import ChainSpecError
+from access_time import cli
+from access_time.chains import ChainSpecError, dense_size_cap
 from access_time.cli import build_parser, main, parse_dist_shorthand
 
 
@@ -512,9 +513,11 @@ def test_unwritable_out_path_exits_2(capsys, tmp_path, argv):
         ({}, ["scale", "--families", "path,star", "--n", "2..30", "--scenario", "paper_example"]),
         ({"ACCESS_TIME_MAX_N": "64"}, ["scale", "--families", "path,complete", "--n", "60..70"]),
         ({}, ["scale", "--families", "path", "--n", "2..30", "--out", "{missing}"]),
+        ({}, ["verify", "--family", "path", "--n", "1..1000000000000", "--trials", "1"]),
+        ({}, ["scale", "--families", "hypercube", "--n", "20000"]),
     ],
     ids=["verify-cap", "verify-out", "verify-out-streak", "scale-family", "scale-scenario",
-         "scale-cap", "scale-out"],
+         "scale-cap", "scale-out", "verify-range", "scale-cube-ceiling"],
 )
 def test_verify_and_scale_refuse_before_the_first_solve(capsys, monkeypatch, tmp_path, env, argv):
     for name, value in env.items():
@@ -526,6 +529,38 @@ def test_verify_and_scale_refuse_before_the_first_solve(capsys, monkeypatch, tmp
     argv = [str(missing) if a == "{missing}" else a for a in argv]
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 2 and stdout == "" and not refuse.called
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_a_range_is_read_row_by_row_up_to_the_first_refusal(capsys, monkeypatch):
+    built = mock.Mock(wraps=cli._family_spec)
+    monkeypatch.setattr("access_time.cli._family_spec", built)
+    code, _, err = run_cli(capsys, "verify", "--family", "path", "--n", "1..1000000000000",
+                           "--trials", "1")
+    assert code == 2 and "cap" in err
+    assert built.call_count <= dense_size_cap() + 1
+
+
+LONG_INT = "1" + "0" * 5000  # past the 4,300-digit limit of Python's int parsing
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--chain", '{"family":"hypercube","n":14300}'],
+        ["gen", "--chain", '{"family":"hypercube","n":100000000000000000000}'],
+        ["compute", "--chain", '{"family":"path","n":%s}' % LONG_INT, "--mu", "uniform",
+         "--nu", "uniform"],
+        ["compute", "--chain", '{"family":"path","n":3}', "--mu", "{law}", "--nu", "uniform"],
+    ],
+    ids=["cube-14300", "cube-1e20", "chain-long-int", "law-long-int"],
+)
+def test_outside_input_of_any_size_is_refused_in_one_line(capsys, tmp_path, argv):
+    law = tmp_path / "law.json"
+    law.write_text('{"kind":"dirac","at":%s}' % LONG_INT)
+    argv = [f"file:{law}" if a == "{law}" else a for a in argv]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2 and stdout == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 

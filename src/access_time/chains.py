@@ -1,8 +1,10 @@
 """Chain generators, probability vectors, and moment functionals.
 
 Everything downstream (hitting-time solver, transport formulas, Monte
-Carlo) operates on plain row-stochastic matrices.  This module builds the
-chain families with known closed-form transport behaviour:
+Carlo) operates on row-stochastic chains held as edge lists: the
+transitions with p_ij > 0 and their rates, with a dense view built only
+for the routes that need one.  This module builds the chain families
+with known closed-form transport behaviour:
 
 * ``birth_death``: symmetric birth-death on ``0..n`` with birth = death
   probability ``p`` and the leftover mass held in place.  At the two
@@ -21,12 +23,18 @@ chain families with known closed-form transport behaviour:
 All constructors are pure and their outputs immutable, so values can be
 shared freely across threads.
 
-Each chain scans its rows for non-zeros once, on first use, into a
-row-major edge list (``TransitionMatrix._edges``), and every reader of
-the sparsity pattern reads that list: the strong components and the
-period (through a sparse matrix built on it), the bandwidth, the
-detailed-balance residual, the certificate of the hitting matrix and the
-Monte Carlo out-edge table.
+Each generator emits its chain's row-major edge list
+(``TransitionMatrix._edges`` and ``rate``) directly, in O(nnz); a
+hand-built dense matrix is scanned for non-zeros once, into the same
+form.  Every reader of the chain reads that list: the row-sum check,
+the strong components and the period (through a sparse matrix built on
+it), the bandwidth, the tridiagonal step times and detailed-balance law,
+the detailed-balance residual, the certificate of the hitting matrix and
+the Monte Carlo out-edge table.  Only the dense routes form an N x N
+array: the state reduction and the first-step matrix write their own
+working array from the edges (``TransitionMatrix.dense``), and the
+spectral t_av and ``gen --out`` read ``TransitionMatrix.rows``, a
+read-only view built on first use.
 """
 from __future__ import annotations
 
@@ -40,6 +48,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 ROW_SUM_HARD_TOL = 1e-9
+
+#: side of the square tiles ``TransitionMatrix.dense`` swaps to transpose in place
+_TILE = 128
 
 SIZE_CAP_ENV = "ACCESS_TIME_MAX_N"
 DEFAULT_SIZE_CAP = 4096
@@ -100,8 +111,10 @@ def check_dense_size(states: int, what: str = "chain") -> None:
     spec before its chain is built and on a chain before it is solved."""
     cap = dense_size_cap()
     if states > cap:
+        bits = states.bit_length()  # a long count is named by its size: no digits to format
+        count = states if bits <= 64 else f"at least 2**{bits - 1}"
         raise ChainSpecError(
-            f"{what} with {states} states exceeds the dense size cap {cap} "
+            f"{what} with {count} states exceeds the dense size cap {cap} "
             f"(override with {SIZE_CAP_ENV})"
         )
 
@@ -113,10 +126,17 @@ def check_laws(states: int, *laws: ProbabilityVector) -> None:
         raise ChainSpecError(f"laws of dim {dims} do not match the state space of {states} states")
 
 
-def frozen(values, dtype=float) -> np.ndarray:
+def _index_dtype(size: int) -> type:
+    """The integer type of state indices on a chain of ``size`` states."""
+    return np.int32 if size < 2**31 else np.intp
+
+
+def frozen(values, dtype=float, copy: bool = True) -> np.ndarray:
     """A read-only C-ordered copy of ``values``, as an array of ``dtype`` (None keeps
-    the input's): the one way every value type here stores an array."""
-    out = np.array(values, dtype=dtype, order="C")
+    the input's): the one way every value type here stores an array.  With
+    ``copy=False`` an array already in that form is itself made read-only, for
+    arrays the caller hands over."""
+    out = (np.array if copy else np.asarray)(values, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 
@@ -217,79 +237,148 @@ class ChainSpec:
         return cls(family=obj["family"], n=obj.get("n"), p=obj.get("p"), edges=obj.get("edges"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TransitionMatrix:
-    """Row-stochastic transition matrix with state labels.
+    """Row-stochastic transition matrix with state labels, held as its edge list.
+
+    The truth is ``_edges = (src, dst)`` and ``rate``: the transitions
+    with p_ij > 0 in row-major order, so each row's columns ascend, and
+    their probabilities.  Nothing else is stored per entry, so a chain
+    costs O(nnz) to build, check and read.  Only the dense routes form
+    the N x N matrix: ``dense`` writes a fresh working array (the
+    first-step matrix, the state reduction) and ``rows`` is a read-only
+    view built on its first read and cached (the spectral t_av,
+    ``gen --out``).
 
     ``labels`` carries the natural state names: integers for the integer
     families (``1..n`` for the winning streak) and d-bit strings for the
     hypercube.  Internal storage is always 0-based; ``labels[i]`` is the
     name of row/column ``i``.
 
-    Entries must be finite and non-negative and rows must sum to 1 within
-    ``ROW_SUM_HARD_TOL``, or construction fails; generator output is exact,
-    so a violation means a broken input.
-    Irreducibility is not enforced here (``validate_chain`` can diagnose a
-    reducible matrix), but every generated family is irreducible and the
-    solver operations refuse reducible chains.  The strong-component count
-    behind both is computed once per chain, on first use, from the edge
-    list that also gives the chain's ``bandwidth``.
+    ``TransitionMatrix(rows)`` takes a dense matrix and keeps its non-zero
+    entries; ``from_edges`` takes the edge form, as the generators emit
+    it.  Either way the rates must be finite and positive and each row
+    must sum to 1 within ``ROW_SUM_HARD_TOL``, checked in O(nnz), or
+    construction fails; generator output is exact, so a violation means a
+    broken input.  Irreducibility is not enforced here (``validate_chain``
+    can diagnose a reducible matrix), but every generated family is
+    irreducible and the solver operations refuse reducible chains.  The
+    strong-component count behind both is computed once per chain, on
+    first use, from the edge list that also gives the chain's
+    ``bandwidth``.
     """
 
-    rows: np.ndarray
-    labels: tuple = None  # type: ignore[assignment]
-    spec: ChainSpec | None = None
+    size: int
+    _edges: tuple[np.ndarray, np.ndarray]
+    rate: np.ndarray
+    labels: tuple
+    spec: ChainSpec | None
 
-    def __post_init__(self) -> None:
-        rows = frozen(self.rows)
+    def __init__(self, rows, labels=None, spec: ChainSpec | None = None) -> None:
+        rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
             raise ChainSpecError(f"transition matrix must be square, got shape {rows.shape}")
-        if not np.all(np.isfinite(rows)):
+        src, dst = np.nonzero(rows)  # NaN and negative entries too, for the rate checks
+        self._set(rows.shape[0], src, dst, rows[src, dst], labels, spec)
+
+    @classmethod
+    def from_edges(cls, size: int, src, dst, rate, labels=None, spec=None) -> "TransitionMatrix":
+        """The chain of ``size`` states whose entries p_ij > 0 are ``rate`` at
+        ``(src, dst)``, given in row-major order.  The arrays are handed over:
+        those already of the stored type are kept, read-only, without a copy."""
+        chain = cls.__new__(cls)
+        chain._set(size, src, dst, rate, labels, spec)
+        return chain
+
+    def _set(self, size, src, dst, rate, labels, spec) -> None:
+        rate = frozen(rate, copy=False)
+        if not np.isfinite(rate).all():
             raise ChainSpecError("transition probabilities must be finite")
-        if np.any(rows < 0):
-            raise ChainSpecError("transition probabilities must be non-negative")
-        residual = np.abs(rows.sum(axis=1) - 1.0).max()
+        if not (rate > 0).all():  # a dense matrix gives no zero rate, only a negative one
+            raise ChainSpecError(
+                "transition probabilities must be non-negative" if (rate < 0).any()
+                else "an edge list holds positive rates only"
+            )
+        index = _index_dtype(size)
+        src, dst = frozen(src, dtype=index, copy=False), frozen(dst, dtype=index, copy=False)
+        labels = tuple(range(size)) if labels is None else tuple(labels)
+        if len(labels) != size:
+            raise ChainSpecError("label count does not match the state count")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "_edges", (src, dst))
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "spec", spec)
+        residual = self.row_sum_residual
         if residual > ROW_SUM_HARD_TOL:
             raise ChainSpecError(f"rows are not stochastic, worst residual {residual:.3e}")
-        object.__setattr__(self, "rows", rows)
-        labels = self.labels
-        if labels is None:
-            labels = tuple(range(rows.shape[0]))
-        else:
-            labels = tuple(labels)
-            if len(labels) != rows.shape[0]:
-                raise ChainSpecError("label count does not match the state count")
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def size(self) -> int:
-        return self.rows.shape[0]
 
     @property
     def family(self) -> str | None:
         return self.spec.family if self.spec is not None else None
 
     @cached_property
-    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pattern p_ij > 0 as edge arrays (src, dst) in row-major order, so each
-        row's columns ascend: the one scan of the rows per chain.  int32 while a
-        flat index N i + j fits, that is up to 46,340 states."""
-        N = self.size
-        flat = np.flatnonzero(self.rows > 0).astype(np.int32 if N * N < 2**31 else np.intp)
-        src = flat // N
-        return src, flat - src * N
+    def rows(self) -> np.ndarray:
+        """The dense N x N matrix as a read-only view, built by ``dense`` on first
+        read and cached."""
+        rows = self.dense()
+        rows.setflags(write=False)
+        return rows
 
-    @property
-    def _transition_graph(self) -> csr_matrix:
-        """The edges as the sparse matrix ``scipy.sparse.csgraph`` reads, built on use."""
+    def dense(self, order: str = "C") -> np.ndarray:
+        """A fresh N x N array of the rates in memory ``order``, zero off the edges:
+        O(N^2) memory, so only the dense routes build one, as their working array.
+
+        The rows are written in C order from the edge list.  For Fortran order
+        the array is then transposed in place, tile by tile, and its transpose
+        returned: ``scipy.sparse`` would first convert the whole edge list to
+        columns, a second copy of it.
+        """
+        A = self._csr.toarray()
+        if order == "C":
+            return A
+        for i in range(0, self.size, _TILE):
+            A[i : i + _TILE, i : i + _TILE] = A[i : i + _TILE, i : i + _TILE].T.copy()
+            for j in range(i + _TILE, self.size, _TILE):
+                upper = A[i : i + _TILE, j : j + _TILE].copy()
+                A[i : i + _TILE, j : j + _TILE] = A[j : j + _TILE, i : i + _TILE].T
+                A[j : j + _TILE, i : i + _TILE] = upper.T
+        return A.T
+
+    @cached_property
+    def row_sum_residual(self) -> float:
+        """max_i |sum_j p_ij - 1|, each row's rates summed as one segment in O(nnz)."""
+        start = self._row_starts
+        held = start[:-1] < start[1:]  # the rows with an edge; an empty row sums to 0
+        sums = np.zeros(self.size)
+        sums[held] = np.add.reduceat(self.rate, start[:-1][held])
+        return float(np.abs(sums - 1.0).max())
+
+    @cached_property
+    def _row_starts(self) -> np.ndarray:
+        """Row i's edges are ``start[i]:start[i + 1]``, i = 0..N-1."""
+        return np.searchsorted(self._edges[0], np.arange(self.size + 1))
+
+    @cached_property
+    def _csr(self) -> csr_matrix:
+        """The chain as the CSR matrix ``scipy.sparse`` and its graph routines read,
+        over the stored arrays, not a copy of them.  The graph routines read the
+        pattern alone (the rates, all positive, are not weights to them)."""
+        return csr_matrix((self.rate, self._edges[1], self._row_starts), shape=(self.size,) * 2)
+
+    def diagonal(self, offset: int) -> np.ndarray:
+        """p_{k, k + offset} for every k with both states on the chain, in O(nnz):
+        ``np.diagonal(rows, offset)`` without the dense rows."""
         src, dst = self._edges
-        indptr = np.searchsorted(src, np.arange(self.size + 1))
-        return csr_matrix((np.ones(dst.size, dtype=bool), dst, indptr), shape=(self.size,) * 2)
+        on = dst - src == offset
+        out = np.zeros(self.size - abs(offset))
+        out[np.minimum(src, dst)[on]] = self.rate[on]
+        return out
 
     @cached_property
     def strong_components(self) -> int:
         """Number of strongly connected components of the transition graph."""
-        n_comp, _ = connected_components(self._transition_graph, connection="strong")
+        n_comp, _ = connected_components(self._csr, connection="strong")
         return int(n_comp)
 
     @cached_property
@@ -314,8 +403,8 @@ class TransitionMatrix:
         off-diagonal rates are all positive; an overflow reads inf.
         """
         N = self.size
-        ahead = np.diagonal(self.rows, 1).tolist() + [0.0]  # p_{k,k+1}
-        behind = [0.0] + np.diagonal(self.rows, -1).tolist()  # p_{k,k-1}
+        ahead = self.diagonal(1).tolist() + [0.0]  # p_{k,k+1}
+        behind = [0.0] + self.diagonal(-1).tolist()  # p_{k,k-1}
         up, down = np.empty(N - 1), np.empty(N - 1)
         t = 0.0
         for k in range(N - 1):
@@ -432,77 +521,81 @@ class DistSpec:
 # generators
 
 
+def _banded(N: int, offsets, rates, labels) -> tuple:
+    """The edges of rows whose entries sit at ``offsets`` from the diagonal, in
+    increasing order, with ``rates`` (a row per state, a column per offset):
+    the entries that leave the chain or have a zero rate are dropped."""
+    dst = np.arange(N)[:, None] + np.asarray(offsets)
+    keep = (dst >= 0) & (dst < N) & (rates > 0)
+    return N, np.nonzero(keep)[0], dst[keep], rates[keep], labels
+
+
 def _birth_death(spec: ChainSpec):
     n, p = spec.n, spec.p
     N = n + 1
-    P = np.zeros((N, N))
-    idx = np.arange(N)
-    P[idx[:-1], idx[:-1] + 1] = p
-    P[idx[1:], idx[1:] - 1] = p
-    P[idx, idx] = 1.0 - P.sum(axis=1)  # 1-2p interior, 1-p at the two ends
-    return P, tuple(range(N))
+    held = np.full(N, 1.0 - (p + p))  # 1 - 2p inside
+    held[[0, -1]] = 1.0 - p  # 1 - p at the two ends
+    return _banded(N, (-1, 0, 1), np.column_stack([np.full(N, p), held, np.full(N, p)]),
+                   tuple(range(N)))
 
 
 def _winning_streak(spec: ChainSpec):
     n = spec.n
-    P = np.zeros((n, n))
-    for k in range(n):  # row k holds state k+1
-        P[k, 0] += 0.5  # reset to state 1
-        if k + 1 < n:
-            P[k, k + 1] += 0.5
-        else:
-            P[k, k] += 0.5  # holding loop at state n
-    return P, tuple(range(1, n + 1))
+    labels = tuple(range(1, n + 1))
+    if n == 1:  # reset and holding loop are the same move
+        return 1, [0], [0], [1.0], labels
+    k = np.arange(n)  # row k holds state k+1: reset to state 1, and climb or hold at n
+    dst = np.column_stack([np.zeros(n, int), np.minimum(k + 1, n - 1)])
+    return n, np.repeat(k, 2), dst.ravel(), np.full(2 * n, 0.5), labels
 
 
 def _hypercube(spec: ChainSpec):
     d = spec.n
     N = 1 << d
-    P = np.zeros((N, N))
     states = np.arange(N)
-    for b in range(d):
-        P[states, states ^ (1 << b)] = 1.0 / d
+    dst = np.sort(states[:, None] ^ (1 << np.arange(d)), axis=1)
     labels = tuple(format(s, f"0{d}b") for s in range(N))
-    return P, labels
+    return N, np.repeat(states, d), dst.ravel(), np.full(N * d, 1.0 / d), labels
 
 
 def _path(spec: ChainSpec):
     n = spec.n
     N = n + 1
-    P = np.zeros((N, N))
-    idx = np.arange(1, n)
-    P[idx, idx - 1] = P[idx, idx + 1] = 0.5
-    P[0, 1] = P[n, n - 1] = 1.0
-    return P, tuple(range(N))
+    rates = np.full((N, 2), 0.5)
+    rates[0, 1] = rates[n, 0] = 1.0  # reflecting ends
+    return _banded(N, (-1, 1), rates, tuple(range(N)))
 
 
 def _complete(spec: ChainSpec):
     n = spec.n
     N = n + 1
-    P = np.full((N, N), 1.0 / n)
-    np.fill_diagonal(P, 0.0)
-    return P, tuple(range(N))
+    states = np.arange(N, dtype=_index_dtype(N))  # N^2 edges: no wider copy of them
+    dst = states[:-1] + (states[:-1] >= states[:, None])  # row i skips column i
+    return N, np.repeat(states, n), dst.ravel(), np.full(N * n, 1.0 / n), tuple(range(N))
 
 
 def _star(spec: ChainSpec):
     n = spec.n
     N = n + 1
-    P = np.zeros((N, N))
-    P[0, 1:] = 1.0 / n
-    P[1:, 0] = 1.0
-    return P, tuple(range(N))
+    leaves = np.arange(1, N)
+    src = np.concatenate([np.zeros(n, int), leaves])
+    dst = np.concatenate([leaves, np.zeros(n, int)])
+    rate = np.concatenate([np.full(n, 1.0 / n), np.ones(n)])
+    return N, src, dst, rate, tuple(range(N))
 
 
 def _graph(spec: ChainSpec):
     N = spec.n
-    adj = np.zeros((N, N))
-    for u, v in spec.edges:
-        adj[u, v] = adj[v, u] = 1.0
-    n_comp, _ = connected_components(csr_matrix(adj), directed=False)
+    u, v = np.array(spec.edges).T
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    adj = csr_matrix((np.ones(src.size), (src, dst)), shape=(N, N))
+    n_comp, _ = connected_components(adj, directed=False)
     if n_comp != 1:
         raise ChainSpecError(f"graph is disconnected ({n_comp} components)")
-    deg = adj.sum(axis=1)
-    return adj / deg[:, None], tuple(range(N))
+    deg = np.bincount(src, minlength=N)
+    return N, src, dst, 1.0 / deg[src], tuple(range(N))
 
 
 _GENERATORS = {
@@ -517,7 +610,7 @@ _GENERATORS = {
 
 
 def build_chain(spec: ChainSpec) -> TransitionMatrix:
-    """Build the transition matrix of a chain family.
+    """Build the transition matrix of a chain family from the edges its generator emits.
 
     Parameters
     ----------
@@ -530,8 +623,8 @@ def build_chain(spec: ChainSpec) -> TransitionMatrix:
         Row-stochastic, irreducible, with the family's natural labels.
     """
     check_dense_size(spec.num_states, spec.family)
-    rows, labels = _GENERATORS[spec.family](spec)
-    return TransitionMatrix(rows, labels=labels, spec=spec)
+    size, src, dst, rate, labels = _GENERATORS[spec.family](spec)
+    return TransitionMatrix.from_edges(size, src, dst, rate, labels=labels, spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +800,7 @@ def _chain_period(P: TransitionMatrix) -> int:
     """Period of an irreducible chain: gcd of (level[u] + 1 - level[v]) over edges,
     with BFS levels from state 0, all in O(nnz) on the transition graph."""
     src, dst = P._edges
-    level = dijkstra(P._transition_graph, indices=0, unweighted=True).astype(np.int64)
+    level = dijkstra(P._csr, indices=0, unweighted=True).astype(np.int64)
     return int(np.gcd.reduce(level[src] + 1 - level[dst]))
 
 
@@ -719,8 +812,6 @@ def validate_chain(P: TransitionMatrix) -> ChainDiagnostics:
     the period is informational only.  Reversibility is reported against
     the stationary law and left undefined for reducible chains.
     """
-    rows = P.rows
-    residual = float(np.abs(rows.sum(axis=1) - 1.0).max())
     irreducible = P.strong_components == 1
     reversible = None
     db_residual = None
@@ -735,7 +826,7 @@ def validate_chain(P: TransitionMatrix) -> ChainDiagnostics:
         period = _chain_period(P)
         aperiodic = period == 1
     return ChainDiagnostics(
-        row_sum_residual=residual,
+        row_sum_residual=P.row_sum_residual,
         irreducible=irreducible,
         strong_components=P.strong_components,
         reversible=reversible,

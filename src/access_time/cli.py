@@ -13,6 +13,7 @@ validation or an ``--out`` path that cannot be written, 3 numerical trouble
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import itertools
 import json
@@ -125,15 +126,16 @@ def _parse_chain(text: str) -> ChainSpec:
 def _parse_n_list(text: str) -> list[range]:
     """``10`` or ``2..20`` or comma-separated mixes of both, one range per part and
     none of them expanded."""
+    shown = text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
     try:
         out = []
         for part in text.split(","):
             lo, dots, hi = part.partition("..")
             out.append(range(int(lo), int(hi if dots else lo) + 1))
-    except ValueError as exc:
-        raise ChainSpecError(f"bad n list {text!r}") from exc
+    except ValueError as exc:  # also a number past Python's 4,300-digit limit
+        raise ChainSpecError(f"bad n list {shown!r}") from exc
     if not any(out) or any(r and r.start < 1 for r in out):
-        raise ChainSpecError(f"bad n list {text!r}")
+        raise ChainSpecError(f"bad n list {shown!r}")
     return out
 
 
@@ -247,19 +249,24 @@ def cmd_verify(args) -> int:
     ns = _parse_n_list(args.n)
     rng = _seeded_rng(args.seed)
     specs = _row_specs([args.family], ns, args.p, args.out, "verify")
-    rows = []  # kept only for --out
     counts = {"PASS": 0, "ERRATUM": 0, "FAIL": 0}
-    for spec in specs:
-        chain = build_chain(spec)
-        M = hitting_time_matrix(chain)
-        for trial in range(args.trials):
-            mu, nu = _random_pair(rng, chain.size)
-            res = verify_family(spec, mu, nu, tol=args.tol, hitting=M)
-            counts[res.status] += 1
-            if args.out:
-                rows.append({"trial": trial, **vars(res)})
+
+    def trial_rows():
+        """Each trial's CSV row, solved as it is read, so no row outlives its write."""
+        for spec in specs:
+            chain = build_chain(spec)
+            M = hitting_time_matrix(chain)
+            for trial in range(args.trials):
+                mu, nu = _random_pair(rng, chain.size)
+                res = verify_family(spec, mu, nu, tol=args.tol, hitting=M)
+                counts[res.status] += 1
+                row = {"trial": trial, **vars(res)}
+                yield [row[c] for c in VERIFY_COLUMNS]
+
     if args.out:
-        write_csv(args.out, VERIFY_COLUMNS, ([r[c] for c in VERIFY_COLUMNS] for r in rows))
+        write_csv(args.out, VERIFY_COLUMNS, trial_rows())
+    else:
+        collections.deque(trial_rows(), maxlen=0)  # run every trial, keep no row
     print(
         f"{args.family}: {counts['PASS']} PASS, {counts['ERRATUM']} ERRATUM, "
         f"{counts['FAIL']} FAIL over n in {specs[0].n}..{specs[-1].n} x {args.trials} trials"

@@ -3,13 +3,15 @@
 The solver is the arbiter for every closed form in this package.  Each
 chain takes its route off its edge list: a tridiagonal chain (path,
 birth-death) reads its hitting columns, stationary law and transport
-scan off its step times, in O(N); on every other chain each call of
-``stationary_distribution``, ``transport_scan`` or ``hitting_time_matrix``
-reduces the states once, O(N^3), and reads the factored result by
-triangular solves alone, while ``hitting_time_to`` factors a
-partial-pivoted LU per column.  Desk-scale by design; the state-count
-ceiling is ``chains.dense_size_cap()``.  ``write_csv`` is the package's
-one CSV writer.
+scan off its step times, which come from its off-diagonal rates, in
+O(N), and never builds the dense rows.  On every other chain each call
+of ``stationary_distribution``, ``transport_scan`` or
+``hitting_time_matrix`` reduces the dense rows once, O(N^3), and reads
+the factored result by triangular solves alone, while
+``hitting_time_to`` factors a partial-pivoted LU per column.
+Desk-scale by design; the state-count ceiling is
+``chains.dense_size_cap()``.  ``write_csv`` is the package's one CSV
+writer.
 """
 from __future__ import annotations
 
@@ -195,13 +197,15 @@ def _tridiagonal_column(P: TransitionMatrix, target: int) -> np.ndarray:
 
 
 def _first_step_matrix(P: TransitionMatrix, order: str = "C") -> np.ndarray:
-    """The first-step matrix L of P, a fresh array in memory ``order``.
+    """The first-step matrix L of P, a fresh array in memory ``order``, written from
+    the edges by ``P.dense``.
 
     L_ik = -p_ik off the diagonal and L_ii = sum_{k != i} p_ik, the row's
     off-diagonal rates, never 1 - p_ii, so a chain that mostly holds in
     place loses no digits to cancellation.
     """
-    L = np.negative(P.rows, order=order)
+    L = P.dense(order)
+    np.negative(L, out=L)
     np.fill_diagonal(L, 0.0)
     np.fill_diagonal(L, -L.sum(axis=1))
     return L
@@ -287,7 +291,7 @@ def _state_reduction(P: TransitionMatrix) -> np.ndarray:
     reorders the additions.
     """
     _require_solvable(P)
-    A = P.rows.copy()
+    A = P.dense()
     hi = A.shape[0]
     while hi > 1:
         lo = max(1, hi - STATIONARY_PANEL)
@@ -334,8 +338,8 @@ def _balance_law(P: TransitionMatrix) -> ProbabilityVector:
     """
     _require_solvable(P)
     N = P.size
-    ahead, e_ahead = np.frexp(np.diagonal(P.rows, 1))  # p_{k,k+1}
-    behind, e_behind = np.frexp(np.diagonal(P.rows, -1))  # p_{k+1,k}
+    ahead, e_ahead = np.frexp(P.diagonal(1))  # p_{k,k+1}
+    behind, e_behind = np.frexp(P.diagonal(-1))  # p_{k+1,k}
     ratio = ahead / behind
     mantissa = np.ones(N)
     exponent = np.zeros(N, dtype=np.int64)
@@ -517,11 +521,17 @@ def detailed_balance_residual(P: TransitionMatrix, pi: ProbabilityVector) -> flo
     """max_ij |pi_i p_ij - pi_j p_ji|, zero for reversible chains.
 
     A pair with p_ij = p_ji = 0 adds 0, and (j, i) repeats (i, j), so
-    the maximum runs over the pattern p_ij > 0 alone, in O(nnz).
+    the maximum runs over the edges p_ij > 0 alone.  Each p_ji is found
+    by binary search among the row-major edge keys N i + j, or is 0, so
+    the scan costs O(nnz log nnz).
     """
     i, j = P._edges
+    key = i.astype(np.int64) * P.size + j  # ascending
+    back = j.astype(np.int64) * P.size + i
+    at = np.minimum(np.searchsorted(key, back), key.size - 1)
+    reverse = np.where(key[at] == back, P.rate[at], 0.0)
     w = pi.weights
-    return float(np.abs(w[i] * P.rows[i, j] - w[j] * P.rows[j, i]).max(initial=0.0))
+    return float(np.abs(w[i] * P.rate - w[j] * reverse).max(initial=0.0))
 
 
 def max_hitting_time(

@@ -17,14 +17,14 @@ trajectories are a pure function of (seed, samples).
 
 A walk at state i with uniform u moves to ``dest[i, #{bins[:, i] <= u}]``,
 read off a per-state out-edge table built from the chain's edge list
-(``TransitionMatrix._edges``), with no scan of the dense rows:
+(``TransitionMatrix._edges`` and ``rate``), with no dense rows:
 ``dest[i]`` lists the non-zero columns of row i in increasing order,
-``bins[:, i]`` their cumulative sums but the last, padded with 1.0 to
-K - 1 entries, K the largest out-degree.  The sums are the dense row's
-cumulative sums at those columns; dropping the last one sends every u
-the rounded row sum leaves uncovered to the row's last out-edge, never
-to a column the chain cannot reach.  A step costs K - 1 comparisons per
-moving walk, O(K) rather than O(N).  Laws draw their states by the same
+``bins[:, i]`` the cumulative sums of their rates but the last, padded
+with 1.0 to K - 1 entries, K the largest out-degree.  The sums equal
+the dense row's cumulative sums at those columns; dropping the last one
+sends every u the rounded row sum leaves uncovered to the row's last
+out-edge, never to a column the chain cannot reach.  A step costs K - 1
+comparisons per moving walk, O(K) rather than O(N).  Laws draw their states by the same
 rule: a ``searchsorted`` of u over the cumulative sums but the last of
 their non-zero weights.
 """
@@ -103,14 +103,14 @@ def _out_edges(P: TransitionMatrix) -> tuple[np.ndarray, np.ndarray]:
     which no uniform u < 1 reaches.
     """
     src, dst = P._edges
-    start = np.searchsorted(src, np.arange(P.size + 1))  # row i's edges are start[i]:start[i+1]
+    start = P._row_starts
     degree = np.diff(start)
     K = int(degree.max())
     slot = np.arange(src.size) - start[src]
     dest = np.zeros((P.size, K), dtype=np.intp)
     dest[src, slot] = dst
     cum = np.zeros(dest.shape)
-    cum[src, slot] = P.rows[src, dst]
+    cum[src, slot] = P.rate
     np.cumsum(cum, axis=1, out=cum)  # the dense row's cumsum at its non-zero columns
     cum[np.arange(K) >= degree[:, None] - 1] = 1.0
     return dest, np.ascontiguousarray(cum[:, :-1].T)

@@ -6,7 +6,8 @@ stationary laws, plain Python scans for transport values, a distance
 chain recursion for the hypercube, convolution for binomial weights,
 boolean matrix powers for the period and the strong components, loops
 over every entry for the bandwidth, the out-edge table read off the dense
-rows, and a scalar Monte Carlo loop that moves one walk at a time.
+rows, a scalar Monte Carlo loop that moves one walk at a time, and each
+family's transition matrix filled in as a dense array.
 """
 from bisect import bisect_right
 from fractions import Fraction
@@ -200,3 +201,42 @@ def scalar_walks(transition_rows, mu, nu, samples, seed):
             steps[k] += 1
         moving = [k for k in moving if current[k] != targets[k]]
     return np.array(steps, dtype=np.int64), np.array(current)
+
+
+def dense_family_rows(spec):
+    """The transition matrix of a family spec, filled in as an N x N array."""
+    n = spec.n
+    if spec.family == "hypercube":
+        N = 1 << n
+        P = np.zeros((N, N))
+        for b in range(n):
+            P[np.arange(N), np.arange(N) ^ (1 << b)] = 1.0 / n
+        return P
+    if spec.family == "winning_streak":
+        P = np.zeros((n, n))
+        for k in range(n):  # row k holds state k+1
+            P[k, 0] += 0.5
+            P[k, min(k + 1, n - 1)] += 0.5
+        return P
+    if spec.family == "graph":
+        adj = np.zeros((n, n))
+        for u, v in spec.edges:
+            adj[u, v] = adj[v, u] = 1.0
+        return adj / adj.sum(axis=1)[:, None]
+    N = n + 1
+    P = np.zeros((N, N))
+    for i in range(N):
+        if spec.family == "path":
+            P[i, [j for j in (i - 1, i + 1) if 0 <= j < N]] = 1.0 if i in (0, n) else 0.5
+        elif spec.family == "birth_death":
+            P[i, [j for j in (i - 1, i + 1) if 0 <= j < N]] = spec.p
+            P[i, i] = 1.0 - P[i].sum()
+        elif spec.family == "complete":
+            P[i] = 1.0 / n
+            P[i, i] = 0.0
+        elif spec.family == "star":  # centre 0
+            if i == 0:
+                P[0, 1:] = 1.0 / n
+            else:
+                P[i, 0] = 1.0
+    return P

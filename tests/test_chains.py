@@ -12,6 +12,7 @@ from access_time import (
     build_chain,
     build_distribution,
     hitting_time_matrix,
+    hitting_time_to,
     random_connected_graph,
     simulate_rule,
     truncated_moments,
@@ -258,17 +259,22 @@ def test_one_sparsity_pass_serves_scc_and_bandwidth(monkeypatch):
     # the diagnostics and the Monte Carlo kernel read the same edge list
     assert validate_chain(chain).period == 2
     simulate_rule(chain, dirac(0, 7), dirac(6, 7), samples=1000, seed=0)
-    assert scans == ["flatnonzero"]
+    # the generator emits the edges, so no dense row is scanned or even built
+    assert scans == [] and "rows" not in vars(chain)
 
 
-def test_dense_route_scans_the_rows_once(monkeypatch):
+def test_dense_routes_build_their_arrays_from_the_edges(monkeypatch):
     chain = build_chain(ChainSpec("star", n=6))
     scans = _count_row_scans(monkeypatch, chain.size)
     assert validate_chain(chain).irreducible
     M = hitting_time_matrix(chain)  # the one-reduction matrix and its certificate
+    hitting_time_to(chain, 3)  # the per-target LU
     simulate_rule(chain, dirac(1, 7), dirac(2, 7), samples=1000, seed=0, hitting=M)
     access_time(chain, dirac(1, 7), dirac(2, 7))
-    assert scans == ["flatnonzero"]
+    # each dense route writes its own working array from the edges: no scan, no cached view
+    assert scans == [] and "rows" not in vars(chain)
+    TransitionMatrix(chain.rows)  # a hand-built matrix is scanned once, into its edges
+    assert scans == ["nonzero"]
 
 
 def test_step_times_of_tridiagonal_families():

@@ -205,6 +205,25 @@ def test_verify_winning_streak_passes(capsys, tmp_path):
     assert all(row[4] == "PASS" for row in rows[1:])
 
 
+def test_verify_writes_each_trial_before_the_next_solve(capsys, monkeypatch, tmp_path):
+    """--out streams the rows: the CSV writer reads row k right after trial k."""
+    solved, seen = [], []
+    verify_family = cli.verify_family
+    monkeypatch.setattr(
+        cli, "verify_family", lambda *a, **k: solved.append(1) or verify_family(*a, **k)
+    )
+    write_csv = cli.write_csv
+
+    def watching(path, header, rows):
+        write_csv(path, header, (seen.append(len(solved)) or row for row in rows))
+
+    monkeypatch.setattr(cli, "write_csv", watching)
+    code, out, _ = run_cli(capsys, "verify", "--family", "path", "--n", "2..3", "--trials", "4",
+                           "--out", str(tmp_path / "v.csv"))
+    assert code == 0 and "8 PASS" in out
+    assert seen == list(range(1, 9))
+
+
 def test_verify_birth_death_erratum_is_expected(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--family", "birth_death", "--n", "2..12", "--trials", "20",
@@ -562,6 +581,34 @@ def test_outside_input_of_any_size_is_refused_in_one_line(capsys, tmp_path, argv
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 2 and stdout == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+NINES = "9" * 4300  # the longest integer JSON and int() still read
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--chain", '{"family":"path","n":%s}' % NINES],
+        ["scale", "--families", "path", "--n", NINES],
+        ["verify", "--family", "complete", "--n", "1.." + NINES, "--trials", "1"],
+        ["scale", "--families", "path", "--n", "9" + NINES],
+        ["compute", "--chain", '{"family":"star","n":%s}' % ("9" * 30), "--mu", "uniform",
+         "--nu", "uniform"],
+    ],
+    ids=["gen-4300-nines", "scale-4300-nines", "verify-range-to-4300-nines", "scale-4301-nines",
+         "star-30-nines"],
+)
+def test_a_state_count_past_the_cap_is_named_in_one_short_line(capsys, argv):
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and len(err) < 120
+    assert "states exceeds the dense size cap" in err or "bad n list '99999" in err
+
+
+def test_a_short_state_count_is_printed_in_full(capsys):
+    code, _, err = run_cli(capsys, "gen", "--chain", '{"family":"complete","n":5000}')
+    assert code == 2 and "complete with 5001 states exceeds" in err
 
 
 def test_out_check_leaves_an_existing_file_as_it_was(capsys, monkeypatch, tmp_path):

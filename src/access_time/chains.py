@@ -141,6 +141,37 @@ def frozen(values, dtype=float, copy: bool = True) -> np.ndarray:
     return out
 
 
+def step_times(ahead: np.ndarray, behind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Step times ``up[k] = E_k[tau_{k+1}]``, ``down[k] = E_{k+1}[tau_k]`` of the
+    tridiagonal chain with rates ``ahead[k] = p_{k,k+1}`` and ``behind[k] = p_{k+1,k}``,
+    k = 0..N-2, by first steps on the off-diagonal rates:
+
+        up_k = (1 + p_{k,k-1} up_{k-1}) / p_{k,k+1},  up_{-1} = 0,
+        down_k = (1 + p_{k+1,k+2} down_{k+1}) / p_{k+1,k},  down_{N-1} = 0.
+
+    Nothing is subtracted.  The loop is sequential because detailed-balance
+    products can overflow where step times do not.  Every rate must be
+    positive, as on an irreducible chain; an overflow reads inf.
+    """
+    K = len(ahead)
+    ahead = ahead.tolist() + [0.0]  # p_{k,k+1}
+    behind = [0.0] + behind.tolist()  # p_{k,k-1}
+    up, down = np.empty(K), np.empty(K)
+    t = 0.0
+    for k in range(K):
+        t = up[k] = (1.0 + behind[k] * t) / ahead[k]
+    t = 0.0
+    for k in range(K - 1, -1, -1):
+        t = down[k] = (1.0 + ahead[k + 1] * t) / behind[k + 1]
+    return up, down
+
+
+def abridged(text: str) -> str:
+    """``text`` as an error message echoes it: whole up to 40 characters, else its
+    first 20 and its length, so a message does not grow with what was typed."""
+    return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Family name plus the parameters needed to build the chain.
@@ -253,7 +284,10 @@ class TransitionMatrix:
     ``labels`` carries the natural state names: integers for the integer
     families (``1..n`` for the winning streak) and d-bit strings for the
     hypercube.  Internal storage is always 0-based; ``labels[i]`` is the
-    name of row/column ``i``.
+    name of row/column ``i``.  ``spec`` is the family the edges were
+    generated from (``build_chain`` sets it); the solver reads a lumped
+    walk's hitting times off its family's ``LUMPINGS`` entry, so a chain
+    built by hand should not name a family.
 
     ``TransitionMatrix(rows)`` takes a dense matrix and keeps its non-zero
     entries; ``from_edges`` takes the edge form, as the generators emit
@@ -357,7 +391,8 @@ class TransitionMatrix:
     @cached_property
     def _row_starts(self) -> np.ndarray:
         """Row i's edges are ``start[i]:start[i + 1]``, i = 0..N-1."""
-        return np.searchsorted(self._edges[0], np.arange(self.size + 1))
+        src = self._edges[0]  # a query of its own type: no widened copy of the edges
+        return np.searchsorted(src, np.arange(self.size + 1, dtype=_index_dtype(self.size + 1)))
 
     @cached_property
     def _csr(self) -> csr_matrix:
@@ -384,35 +419,18 @@ class TransitionMatrix:
     @cached_property
     def bandwidth(self) -> tuple[int, int]:
         """Off-diagonal bandwidth (l, u): the farthest one step reaches below
-        and above the diagonal, max(i - j) and max(j - i) over p_ij > 0."""
-        src, dst = self._edges
-        offsets = dst - src
-        return -int(offsets.min(initial=0)), int(offsets.max(initial=0))
+        and above the diagonal, max(i - j) and max(j - i) over p_ij > 0, in O(N):
+        the row-major order puts each row's farthest columns at its two ends, and
+        every row of a stochastic matrix has an edge."""
+        start, dst, rows = self._row_starts, self._edges[1], np.arange(self.size)
+        first, last = dst[start[:-1]], dst[start[1:] - 1]
+        return int((rows - first).max(initial=0)), int((last - rows).max(initial=0))
 
     @cached_property
     def step_times(self) -> tuple[np.ndarray, np.ndarray]:
-        """Step times ``up[k] = E_k[tau_{k+1}]``, ``down[k] = E_{k+1}[tau_k]`` of a
-        tridiagonal chain, k = 0..N-2, by first steps on the off-diagonal rates:
-
-            up_k = (1 + p_{k,k-1} up_{k-1}) / p_{k,k+1},  up_{-1} = 0,
-            down_k = (1 + p_{k+1,k+2} down_{k+1}) / p_{k+1,k},  down_{N-1} = 0.
-
-        Nothing is subtracted.  The loop is sequential because
-        detailed-balance products can overflow where step times do not.
-        Meaningful for an irreducible chain of bandwidth (1, 1), whose
-        off-diagonal rates are all positive; an overflow reads inf.
-        """
-        N = self.size
-        ahead = self.diagonal(1).tolist() + [0.0]  # p_{k,k+1}
-        behind = [0.0] + self.diagonal(-1).tolist()  # p_{k,k-1}
-        up, down = np.empty(N - 1), np.empty(N - 1)
-        t = 0.0
-        for k in range(N - 1):
-            t = up[k] = (1.0 + behind[k] * t) / ahead[k]
-        t = 0.0
-        for k in range(N - 2, -1, -1):
-            t = down[k] = (1.0 + ahead[k + 1] * t) / behind[k + 1]
-        return frozen(up), frozen(down)
+        """``step_times`` of a tridiagonal chain, read once per chain off its two
+        off-diagonals; meaningful for an irreducible chain of bandwidth (1, 1)."""
+        return tuple(map(frozen, step_times(self.diagonal(1), self.diagonal(-1))))
 
     def integer_labels(self) -> np.ndarray:
         """Labels as an integer array; rejects bit-string labelled chains."""
@@ -440,7 +458,10 @@ class TransitionMatrix:
                 return int(label)
             if str(label) in self.labels:
                 return self.labels.index(str(label))
-        raise ChainSpecError(f"state {label!r} is not on this chain")
+        shown = abridged(str(label))
+        raise ChainSpecError(
+            f"state {repr(shown) if isinstance(label, str) else shown} is not on this chain"
+        )
 
 
 @dataclass(frozen=True)
@@ -606,6 +627,31 @@ _GENERATORS = {
     "complete": _complete,
     "star": _star,
     "graph": _graph,
+}
+
+
+def _popcounts(d: int) -> np.ndarray:
+    """pop[k], the set bits of each k < 2**d as uint8, by pop[k] = pop[k >> 1] + (k & 1)
+    a block [2**b, 2**(b + 1)) at a time: ``np.bitwise_count`` needs NumPy 2."""
+    pop = np.zeros(1 << d, dtype=np.uint8)
+    for b in range(d):
+        k = np.arange(1 << b, 2 << b)
+        pop[k] = pop[k >> 1] + (k & 1).astype(np.uint8)
+    return pop
+
+
+#: the families whose hitting times to a target depend only on each state's graph
+#: distance to it, so each column is one of the tridiagonal chain that distance
+#: follows, a lumping of the walk (Kemeny-Snell, Finite Markov Chains, 6.3).
+#: family -> (the distance d(n, i, j) of states i to targets j, broadcast index
+#: arrays, as uint8, with n the spec's n; the first target of each orbit, whose
+#: targets, up to the next first one, share one distance chain)
+LUMPINGS = {
+    "complete": (lambda n, i, j: (i != j).view(np.uint8), (0,)),
+    # 1 between the centre 0 and a leaf, 2 between two leaves
+    "star": (lambda n, i, j: np.add(i != j, (i != j) & (i != 0) & (j != 0), dtype=np.uint8),
+             (0, 1)),
+    "hypercube": (lambda d, i, j: _popcounts(d)[i ^ j], (0,)),  # the Hamming distance
 }
 
 

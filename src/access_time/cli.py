@@ -30,6 +30,7 @@ from .chains import (
     DistSpec,
     ProbabilityVector,
     ReducibleChainError,
+    abridged,
     build_chain,
     build_distribution,
     check_dense_size,
@@ -100,7 +101,7 @@ def parse_dist_shorthand(text: str) -> DistSpec:
         try:
             p = float(text.split(":", 1)[1])
         except ValueError as exc:
-            raise ChainSpecError(f"bad binomial parameter in {text!r}") from exc
+            raise ChainSpecError(f"bad binomial parameter in {abridged(text)!r}") from exc
         return DistSpec(kind="binomial", p=p)
     if text.startswith("file:"):
         path = text.split(":", 1)[1]
@@ -108,10 +109,14 @@ def parse_dist_shorthand(text: str) -> DistSpec:
             with open(path) as fh:
                 obj = json.load(fh)
         except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an integer too long
-            raise ChainSpecError(f"cannot read distribution file {path!r}: {exc}") from exc
+            reason = getattr(exc, "strerror", None) or exc  # an OSError names the path again
+            raise ChainSpecError(
+                f"cannot read distribution file {abridged(path)!r}: {reason}"
+            ) from exc
         return DistSpec.from_json(obj)
     raise ChainSpecError(
-        f"bad distribution {text!r}; expected dirac:K, uniform, binomial:P, stationary, file:PATH"
+        f"bad distribution {abridged(text)!r}; expected dirac:K, uniform, binomial:P, "
+        "stationary, file:PATH"
     )
 
 
@@ -126,7 +131,7 @@ def _parse_chain(text: str) -> ChainSpec:
 def _parse_n_list(text: str) -> list[range]:
     """``10`` or ``2..20`` or comma-separated mixes of both, one range per part and
     none of them expanded."""
-    shown = text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
+    shown = abridged(text)
     try:
         out = []
         for part in text.split(","):

@@ -1,14 +1,23 @@
 """Exact mean hitting times, stationary laws, and the average hitting time.
 
 The solver is the arbiter for every closed form in this package.  Each
-chain takes its route off its edge list: a tridiagonal chain (path,
-birth-death) reads its hitting columns, stationary law and transport
-scan off its step times, which come from its off-diagonal rates, in
-O(N), and never builds the dense rows.  On every other chain each call
-of ``stationary_distribution``, ``transport_scan`` or
-``hitting_time_matrix`` reduces the dense rows once, O(N^3), and reads
-the factored result by triangular solves alone, while
-``hitting_time_to`` factors a partial-pivoted LU per column.
+chain takes its route off its edge list, in this order:
+
+1. a tridiagonal chain (path, birth-death) reads its hitting columns,
+   stationary law and transport scan off its step times, which come
+   from its off-diagonal rates, in O(N), and never builds the dense rows;
+2. a walk built from a family of ``chains.LUMPINGS`` (complete graph,
+   star, hypercube) reads its hitting columns and its full matrix off
+   the tridiagonal chain of the distance to the target, whose rates come
+   from one row per distance: O(N + K deg) a column with K distances, and
+   one such chain per orbit of targets for the matrix;
+3. on every other chain, and for the stationary law and the transport
+   scan of the lumped walks, each call of ``stationary_distribution``,
+   ``transport_scan`` or ``hitting_time_matrix`` reduces the dense rows
+   once, O(N^3), and reads the factored result by triangular solves
+   alone, while ``hitting_time_to`` factors a partial-pivoted LU per
+   column.
+
 Desk-scale by design; the state-count ceiling is
 ``chains.dense_size_cap()``.  ``write_csv`` is the package's one CSV
 writer.
@@ -26,12 +35,14 @@ from scipy.linalg import lu_solve, solve_triangular
 from scipy.linalg.lapack import dgetrf
 
 from .chains import (
+    LUMPINGS,
     ChainSpecError,
     ProbabilityVector,
     ReducibleChainError,
     TransitionMatrix,
     check_dense_size,
     frozen,
+    step_times,
 )
 
 REVERSIBLE_TOL = 1e-10
@@ -52,8 +63,8 @@ _GEMM_ROWS = 256
 _BALANCE_BLOCK = 512
 #: a column of the one-reduction hitting matrix whose certificate exceeds
 #: this is solved again per target; a decade inside the 1e-9 tolerance of
-#: the closed-form checks, where 1e-12 would refuse every column of the
-#: complete graph at N = 129 on rounding alone
+#: the closed-form checks, where 1e-12 would refuse every column of a walk
+#: on the complete graph (given as a ``graph``) at N = 129 on rounding alone
 CERT_GATE = 1e-10
 
 EPS = np.finfo(float).eps
@@ -76,9 +87,9 @@ class HittingTimeMatrix:
     ``column_bound[j]`` bounds the relative error of column j: every
     entry satisfies |values[i, j] - E_i[tau_j]| <= column_bound[j] E_i[tau_j].
     ``hitting_time_matrix`` always sets it, to the first-step residual
-    certificate or, on a tridiagonal chain, to the a priori bound of the
-    step-time recurrence; it is None only for a table built by hand, and
-    no command prints it.
+    certificate or, on a tridiagonal chain or a lumped walk, to the a
+    priori bound of the step-time recurrence; it is None only for a table
+    built by hand, and no command prints it.
     """
 
     values: np.ndarray
@@ -154,11 +165,15 @@ def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
     E_i[tau_j] is up_i + ... + up_{j-1} below j and down_j + ... +
     down_{i-1} above it, with the step times of ``P.step_times``, read
     once per chain; two cumulative sums, O(N), no subtraction and no
-    pivot.  Every other chain is factored densely with partial-pivoted
-    LU, in O(N^3).  A refused column raises ``LinAlgError`` naming the
-    target and the cause: a singular system where the dense LU meets an
-    exactly zero pivot, and hitting times past the float range where the
-    column is otherwise not finite.
+    pivot.  A walk built from a family of ``chains.LUMPINGS`` needs none
+    either: E_i[tau_j] depends only on the distance of i to j, and the
+    distance follows a tridiagonal chain whose step times give the
+    column, in O(N + K deg) with K distances.  Every other chain is
+    factored densely with partial-pivoted LU, in O(N^3).  A refused
+    column raises ``LinAlgError`` naming the target and the cause: a
+    singular system where the dense LU meets an exactly zero pivot, and
+    hitting times past the float range where the column is otherwise not
+    finite.
 
     Parameters
     ----------
@@ -176,7 +191,12 @@ def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
     N = P.size
     if not 0 <= target < N:
         raise ChainSpecError(f"target index {target} out of range for {N} states")
-    h = _tridiagonal_column(P, target) if _is_tridiagonal(P) else _dense_column(P, target)
+    if _is_tridiagonal(P):
+        h = _tridiagonal_column(P, target)
+    elif P.family in LUMPINGS:
+        h = _lumped_column(P, target)
+    else:
+        h = _dense_column(P, target)
     if not np.isfinite(h).all():
         raise np.linalg.LinAlgError(f"hitting times of target {target} exceed the float range")
     return h
@@ -194,6 +214,58 @@ def _tridiagonal_column(P: TransitionMatrix, target: int) -> np.ndarray:
     h[:target] = up[:target][::-1].cumsum()[::-1]
     h[target + 1 :] = down[target:].cumsum()
     return h
+
+
+def _distances(P: TransitionMatrix, sources, targets) -> np.ndarray:
+    """The graph distance of ``sources`` to ``targets``, broadcast, by P's ``LUMPINGS`` entry."""
+    return LUMPINGS[P.family][0](P.spec.n, sources, targets)
+
+
+def _lumped_column(P: TransitionMatrix, target: int) -> np.ndarray:
+    """Column ``target`` of a walk that lumps by distance: its distance chain's times,
+    gathered by each state's distance to the target."""
+    c = _distances(P, np.arange(P.size), target)
+    return _distance_chain_times(P, c)[c]
+
+
+def _distance_chain_times(P: TransitionMatrix, c: np.ndarray) -> np.ndarray:
+    """F[k] = E_k[tau_0] on the chain of the distances ``c`` to a target, in O(N + K deg).
+
+    Every state at distance k steps to distance k - 1 or k + 1 with the same
+    summed rate, so any one state per distance gives the rates of the
+    K-state tridiagonal chain: its out-edges, summed per distance by
+    ``math.fsum``, correctly rounded.  F is then the cumulative sum of that
+    chain's ``step_times`` down from each distance, as on a tridiagonal
+    chain: nothing subtracted.
+    """
+    K = int(c.max()) + 1
+    start, (_, dst) = P._row_starts, P._edges
+    reps = np.empty(K, dtype=np.intp)
+    reps[c] = np.arange(c.size)  # a state at each distance, every one of 0..K-1 held
+    ahead, behind = np.zeros(K), np.zeros(K)  # p_{k,k+1} and p_{k,k-1}
+    for k, rep in enumerate(reps.tolist()):
+        out = slice(start[rep], start[rep + 1])
+        to = c[dst[out]].astype(np.intp)
+        ahead[k] = math.fsum(P.rate[out][to == k + 1].tolist())
+        behind[k] = math.fsum(P.rate[out][to == k - 1].tolist())
+    F = np.zeros(K)
+    np.cumsum(step_times(ahead[:-1], behind[1:])[1], out=F[1:])
+    return F
+
+
+def _lumped_matrix(P: TransitionMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """All-pairs hitting times of a walk that lumps by distance: one distance chain per
+    orbit of targets, gathered by the distance of every state to every target of it."""
+    N = P.size
+    states = np.arange(N, dtype=P._edges[0].dtype)  # i ^ j no wider than the states
+    values, bound = np.empty((N, N)), np.empty(N)
+    orbits = LUMPINGS[P.family][1]
+    for lo, hi in zip(orbits, orbits[1:] + (N,)):
+        d = _distances(P, states[:, None], states[lo:hi])
+        F = _distance_chain_times(P, d[:, 0])  # the chain of the orbit's first target
+        values[:, lo:hi] = F[d]
+        bound[lo:hi] = 4 * F.size * EPS
+    return values, bound
 
 
 def _first_step_matrix(P: TransitionMatrix, order: str = "C") -> np.ndarray:
@@ -242,9 +314,16 @@ def hitting_time_matrix(P: TransitionMatrix) -> HittingTimeMatrix:
     of positive terms, and the cumulative sum one per term, so every
     entry is within (4N - 7) u of the exact time to first order, with
     u = eps / 2 the unit roundoff; ``column_bound`` states 3 N eps, with
-    margin.  Every other chain takes ``_grounded_matrix``, O(N^3) from
-    one state reduction, and ``_column_bounds`` certifies each column j
-    with a relative error bound b_j.  A column with b_j > ``CERT_GATE``,
+    margin.  A walk of ``chains.LUMPINGS`` takes ``_lumped_matrix``: one
+    distance chain per orbit of targets, its times gathered by the
+    distance of every state to every target, O(N^2) in all.  Its column
+    bound, 4 K eps with K distances, covers the same recurrence on the K
+    distances, (4K - 7) u, and the correctly rounded rate sums, each
+    carried into the step times as at most two relative roundings per
+    step, (2K - 3) u: (6K - 10) u to first order.  Every other chain
+    takes ``_grounded_matrix``, O(N^3) from one state reduction, and
+    ``_column_bounds`` certifies each column j with a relative error
+    bound b_j.  A column with b_j > ``CERT_GATE``,
     or with a non-finite entry, is solved again by ``hitting_time_to``
     and certified again, so it is exactly the per-target column; its
     bound is kept whether or not it now passes the gate.
@@ -256,6 +335,9 @@ def hitting_time_matrix(P: TransitionMatrix) -> HittingTimeMatrix:
         for j in range(N):
             values[:, j] = hitting_time_to(P, j)
         return HittingTimeMatrix(values, P.labels, column_bound=np.full(N, 3 * N * EPS))
+    if P.family in LUMPINGS:
+        values, bound = _lumped_matrix(P)
+        return HittingTimeMatrix(values, P.labels, column_bound=bound)
     values = _grounded_matrix(P)
     bound = _column_bounds(P, values, np.arange(N))
     refused = np.flatnonzero(~(bound <= CERT_GATE))  # a NaN bound compares false

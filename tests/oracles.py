@@ -1,7 +1,7 @@
 """Independent oracles for the tests.
 
 Expected values are recomputed here through routes the library never
-takes: exact rational Gaussian elimination for hitting times and
+takes: exact fraction-free Gaussian elimination for hitting times and
 stationary laws, plain Python scans for transport values, a distance
 chain recursion for the hypercube, convolution for binomial weights,
 boolean matrix powers for the period and the strong components, loops
@@ -11,25 +11,33 @@ family's transition matrix filled in as a dense array.
 """
 from bisect import bisect_right
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
 
 def _solve_fraction(A, b):
-    """Gauss-Jordan with exact rationals."""
+    """Exact solution of A x = b, rationals in and out, by fraction-free (Bareiss)
+    elimination: each row is scaled to integers, every division of the
+    elimination is exact, and only the back substitution reduces fractions."""
     n = len(b)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if M[r][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        inv = Fraction(1) / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
+    M = []
+    for row, rhs in zip(A, b):
+        scale = lcm(*(x.denominator for x in row), rhs.denominator)
+        M.append([int(x * scale) for x in row] + [int(rhs * scale)])
+    prev = 1
+    for k in range(n):
+        piv = next(r for r in range(k, n) if M[r][k] != 0)
+        M[k], M[piv] = M[piv], M[k]
+        top, a = M[k], M[k][k]
+        for i in range(k + 1, n):
+            f, rest = M[i][k], zip(M[i][k + 1 :], top[k + 1 :])
+            M[i] = [0] * (k + 1) + [(x * a - f * y) // prev for x, y in rest]
+        prev = a
+    x = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        x[i] = (M[i][n] - sum(M[i][j] * x[j] for j in range(i + 1, n))) / Fraction(M[i][i])
+    return x
 
 
 def fraction_hitting_matrix(rows):

@@ -229,6 +229,18 @@ def test_bandwidth_of_hand_made_chains():
     assert TransitionMatrix(np.ones((1, 1))).bandwidth == (0, 0)
 
 
+def test_row_starts_search_the_edges_in_their_own_type(monkeypatch):
+    chain = build_chain(ChainSpec("complete", n=40))
+    queries = []
+    search = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda a, v, *args: queries.append(
+        (a.dtype, np.asarray(v).dtype)) or search(a, v, *args))
+    starts = TransitionMatrix._row_starts.func(chain)  # the build has cached it
+    # an int64 query of the int32 edges would first copy every edge to int64
+    assert queries == [(np.int32, np.int32)]
+    assert np.array_equal(starts, 40 * np.arange(42))  # 40 edges a row
+
+
 def _count_row_scans(monkeypatch, N):
     """The NumPy non-zero scans of an N x N array from now on, as a list that grows."""
     scans = []
@@ -264,13 +276,22 @@ def test_one_sparsity_pass_serves_scc_and_bandwidth(monkeypatch):
 
 
 def test_dense_routes_build_their_arrays_from_the_edges(monkeypatch):
-    chain = build_chain(ChainSpec("star", n=6))
+    # a graph walk is neither tridiagonal nor lumped, so every solve below is dense
+    edges = random_connected_graph(7, np.random.default_rng(3), 6)
+    chain = build_chain(ChainSpec("graph", edges=edges))
+    built = []
+    dense = TransitionMatrix.dense
+    monkeypatch.setattr(TransitionMatrix, "dense", lambda self, *order: built.append(order)
+                        or dense(self, *order))
     scans = _count_row_scans(monkeypatch, chain.size)
-    assert validate_chain(chain).irreducible
+    assert validate_chain(chain).irreducible  # the stationary law's state reduction
     M = hitting_time_matrix(chain)  # the one-reduction matrix and its certificate
     hitting_time_to(chain, 3)  # the per-target LU
     simulate_rule(chain, dirac(1, 7), dirac(2, 7), samples=1000, seed=0, hitting=M)
-    access_time(chain, dirac(1, 7), dirac(2, 7))
+    access_time(chain, dirac(1, 7), dirac(2, 7))  # the transport scan's state reduction
+    # the law's and the matrix's state reductions, the certificate's first-step
+    # matrix, the LU's in Fortran order and the scan's state reduction
+    assert built == [(), (), ("C",), ("F",), ()]
     # each dense route writes its own working array from the edges: no scan, no cached view
     assert scans == [] and "rows" not in vars(chain)
     TransitionMatrix(chain.rows)  # a hand-built matrix is scanned once, into its edges

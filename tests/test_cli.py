@@ -606,6 +606,27 @@ def test_a_state_count_past_the_cap_is_named_in_one_short_line(capsys, argv):
     assert "states exceeds the dense size cap" in err or "bad n list '99999" in err
 
 
+@pytest.mark.parametrize(
+    "law, family",
+    [("dirac:" + "9" * 300, "path"), ("dirac:" + "9" * 5000, "path"),
+     ("dirac:" + "1" * 300, "hypercube"), ("binomial:" + "x" * 5000, "path"),
+     ("bogus:" + "9" * 5000, "path"), ("file:" + "x" * 5000, "path")],
+    ids=["300-nines", "5000-nines", "cube-300-ones", "binomial-5000", "kind-5000", "file-5000"],
+)
+def test_a_long_typed_law_is_echoed_in_one_short_line(capsys, law, family):
+    chain = json.dumps({"family": family, "n": 3})
+    code, stdout, err = run_cli(capsys, "compute", "--chain", chain, "--mu", law, "--nu", "uniform")
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and len(err) < 160
+    assert f"... ({len(law.split(':', 1)[1])} characters)" in err or f"({len(law)} char" in err
+
+
+def test_a_short_label_is_echoed_in_full(capsys):
+    code, _, err = run_cli(capsys, "compute", "--chain", '{"family":"path","n":3}',
+                           "--mu", "dirac:17", "--nu", "uniform")
+    assert code == 2 and "state 17 is not on this chain" in err
+
+
 def test_a_short_state_count_is_printed_in_full(capsys):
     code, _, err = run_cli(capsys, "gen", "--chain", '{"family":"complete","n":5000}')
     assert code == 2 and "complete with 5001 states exceeds" in err

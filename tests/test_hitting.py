@@ -551,16 +551,6 @@ def test_banded_chains_never_factor_densely(capsys, tmp_path):
     assert float(row["max_hitting"]) == pytest.approx(1024 * 1025 / 0.6, rel=1e-12)
 
 
-def _wide_chain_cases():
-    graph = ChainSpec("graph", edges=random_connected_graph(12, np.random.default_rng(5), 14))
-    return [
-        (ChainSpec("star", n=20), star_hitting_formula),
-        (ChainSpec("complete", n=20), complete_hitting_formula),
-        (ChainSpec("hypercube", n=4), None),
-        (graph, None),
-    ]
-
-
 def assert_within_column_bounds(values, exact, bound):
     """|values[i, j] - E_i[tau_j]| <= bound[j] E_i[tau_j] in exact arithmetic.
 
@@ -575,21 +565,19 @@ def assert_within_column_bounds(values, exact, bound):
             assert abs(Fraction(float(values[i, j])) - exact[i][j]) <= b * exact[i][j], (i, j)
 
 
-@pytest.mark.parametrize(
-    "spec, formula", _wide_chain_cases(), ids=["star", "complete", "hypercube", "graph"]
-)
-def test_wide_chains_take_the_certified_one_reduction_route(spec, formula):
+def test_wide_chains_take_the_certified_one_reduction_route():
+    # a graph walk has no family lumping: the star, the complete graph and
+    # the hypercube take the lumped route (tests/test_lumped_route.py)
+    spec = ChainSpec("graph", edges=random_connected_graph(12, np.random.default_rng(5), 14))
     chain = build_chain(spec)
-    assert not on_tridiagonal_route(chain)
+    assert not on_tridiagonal_route(chain) and chain.family not in hitting.LUMPINGS
     refuse = mock.Mock(side_effect=AssertionError("per-target solve on a certified chain"))
     with mock.patch.object(hitting, "hitting_time_to", refuse), mock.patch.object(
         hitting, "dgetrf", refuse
-    ):
+    ), mock.patch.object(hitting, "_state_reduction", wraps=hitting._state_reduction) as reduce:
         M = hitting_time_matrix(chain)
-    if formula is None:
-        exact = fraction_hitting_matrix(chain.rows)
-    else:
-        exact = [[Fraction(x) for x in row] for row in formula(spec.n).tolist()]
+    assert reduce.call_count == 1
+    exact = fraction_hitting_matrix(chain.rows)
     assert M.column_bound.shape == (chain.size,)
     assert np.all(M.column_bound <= hitting.CERT_GATE)
     assert_within_column_bounds(M.values, exact, M.column_bound)

@@ -1,0 +1,136 @@
+"""The lumped route: walks whose hitting times depend on the distance to the target.
+
+On the complete graph, the star and the hypercube every state at graph
+distance k from a target steps to distance k - 1 and to k + 1 with the
+same summed rate, so the distance is itself a tridiagonal chain
+(``chains.LUMPINGS``).  Their columns and tables must match exact
+elimination within the a priori ``column_bound``, every family
+partition must be lumpable on the dense rows for every target, and
+``scale`` and ``bounds`` on these families must never reach a dense
+route.
+"""
+import contextlib
+import csv
+import json
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from access_time import ChainSpec, TransitionMatrix, build_chain, hitting_time_matrix
+from access_time import complete_hitting_formula, hitting, hitting_time_to, star_hitting_formula
+from access_time.chains import LUMPINGS
+from access_time.cli import main
+from oracles import cube_antipodal_exact, fraction_hitting_matrix
+from test_hitting import assert_within_column_bounds
+
+EPS = np.finfo(float).eps
+
+LUMPED_SPECS = [
+    *(ChainSpec("star", n=n) for n in (2, 3, 20)),
+    *(ChainSpec("complete", n=n) for n in (2, 20)),
+    *(ChainSpec("hypercube", n=d) for d in (2, 3, 4, 5)),
+]
+
+
+def _ids(specs):
+    return [f"{s.family}-{s.n}" for s in specs]
+
+
+@contextlib.contextmanager
+def dense_routes_refused():
+    """The state reduction, the dense LU and any dense working array raise inside;
+    yields the mock that records a call of any of them."""
+    refuse = mock.Mock(side_effect=AssertionError("dense route on a lumped walk"))
+    with mock.patch.object(hitting, "_state_reduction", refuse), mock.patch.object(
+        hitting, "dgetrf", refuse
+    ), mock.patch.object(TransitionMatrix, "dense", refuse):
+        yield refuse
+
+
+@pytest.mark.parametrize("spec", LUMPED_SPECS, ids=_ids(LUMPED_SPECS))
+def test_lumped_columns_and_table_match_exact_elimination(spec):
+    chain = build_chain(spec)
+    assert max(chain.bandwidth) > 1  # not tridiagonal, so the lumped route
+    with dense_routes_refused() as refuse:
+        M = hitting_time_matrix(chain)
+        columns = np.column_stack([hitting_time_to(chain, j) for j in range(chain.size)])
+    assert not refuse.called
+    exact = fraction_hitting_matrix(chain.rows)
+    # one chain per orbit and one per target read the same rates: the same column
+    assert np.array_equal(columns, M.values)
+    # 4 K eps, K the distances to the target: the distinct exact times of its column
+    distances = [len(set(row[j] for row in exact)) for j in range(chain.size)]
+    np.testing.assert_array_equal(M.column_bound, 4 * np.array(distances) * EPS)
+    assert_within_column_bounds(M.values, exact, M.column_bound)
+    assert_within_column_bounds(columns, exact, M.column_bound)
+
+
+def _graph_distances(rows, target):
+    """Breadth-first distances to ``target`` over the pattern of the dense rows."""
+    N = len(rows)
+    dist = [None] * N
+    dist[target], frontier, k = 0, [target], 0
+    while frontier:
+        k += 1
+        frontier = [i for i in range(N) if dist[i] is None
+                    and any(rows[i][j] > 0 for j in frontier)]
+        for i in frontier:
+            dist[i] = k
+    return dist
+
+
+LUMPABLE_SPECS = [
+    *(ChainSpec("star", n=n) for n in (1, 2, 3, 7)),
+    *(ChainSpec("complete", n=n) for n in (1, 2, 6)),
+    *(ChainSpec("hypercube", n=d) for d in (1, 2, 3, 4, 5)),
+]
+
+
+@pytest.mark.parametrize("spec", LUMPABLE_SPECS, ids=_ids(LUMPABLE_SPECS))
+def test_family_partitions_are_lumpable_for_every_target(spec):
+    chain = build_chain(spec)
+    N = chain.size
+    rows = [[Fraction(x) for x in row] for row in chain.rows.tolist()]
+    distance, orbits = LUMPINGS[spec.family]
+    states = np.arange(N)
+    table = distance(spec.n, states[:, None], states[None, :])
+    assert table.dtype == np.uint8
+    orbit_rates = {}
+    for j in range(N):
+        c = distance(spec.n, states, j)
+        assert c.dtype == np.uint8 and c.tolist() == _graph_distances(rows, j)
+        assert table[:, j].tolist() == c.tolist()
+        K = int(c.max()) + 1
+        # the exact summed rate of every state to every distance
+        to = [[sum(r for r, k in zip(row, c) if k == d) for d in range(K)] for row in rows]
+        lumped = [to[int(np.flatnonzero(c == k)[0])] for k in range(K)]
+        for i in range(N):
+            assert to[i] == lumped[c[i]], (j, i)  # the same rates as every state at its distance
+            assert all(r == 0 for d, r in enumerate(to[i]) if abs(d - int(c[i])) > 1)
+        # every target of an orbit has the same distance chain as the orbit's first target
+        orbit = max(o for o in orbits if o <= j)
+        assert orbit_rates.setdefault(orbit, lumped) == lumped, j
+
+
+def test_scale_and_bounds_on_lumped_walks_never_reach_a_dense_route(capsys, tmp_path):
+    out = tmp_path / "sweep.csv"
+    expected = {"star": lambda n: star_hitting_formula(n).max(),
+                "complete": lambda n: complete_hitting_formula(n).max(),
+                "hypercube": lambda d: float(cube_antipodal_exact(d))}
+    with dense_routes_refused() as refuse:
+        argv = ["scale", "--families", "star,complete,hypercube", "--n", "1,3,8", "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        for family, n in (("star", 40), ("complete", 40), ("hypercube", 7)):
+            assert main(["bounds", "--chain", json.dumps({"family": family, "n": n})]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["max_hitting"] == pytest.approx(expected[family](n), rel=1e-13)
+    assert not refuse.called
+    with open(out, newline="") as fh:
+        sweep = list(csv.DictReader(fh))
+    assert len(sweep) == 9
+    for row in sweep:
+        want = expected[row["family"]](int(row["n"]))
+        assert float(row["max_hitting"]) == pytest.approx(want, rel=1e-13)

@@ -45,7 +45,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 ROW_SUM_HARD_TOL = 1e-9
 
@@ -285,9 +284,12 @@ class TransitionMatrix:
     families (``1..n`` for the winning streak) and d-bit strings for the
     hypercube.  Internal storage is always 0-based; ``labels[i]`` is the
     name of row/column ``i``.  ``spec`` is the family the edges were
-    generated from (``build_chain`` sets it); the solver reads a lumped
-    walk's hitting times off its family's ``LUMPINGS`` entry, so a chain
-    built by hand should not name a family.
+    generated from (``build_chain`` sets it).  The solver trusts it: it
+    reads a lumped walk's hitting times and transport scan off its
+    family's ``LUMPINGS`` entry, the stationary law of a graph walk off
+    its degrees, and skips the size check and the strong components of a
+    chain ``build_chain`` has already checked.  So a chain built by hand
+    should not name a family.
 
     ``TransitionMatrix(rows)`` takes a dense matrix and keeps its non-zero
     entries; ``from_edges`` takes the edge form, as the generators emit
@@ -295,11 +297,12 @@ class TransitionMatrix:
     must sum to 1 within ``ROW_SUM_HARD_TOL``, checked in O(nnz), or
     construction fails; generator output is exact, so a violation means a
     broken input.  Irreducibility is not enforced here (``validate_chain``
-    can diagnose a reducible matrix), but every generated family is
-    irreducible and the solver operations refuse reducible chains.  The
-    strong-component count behind both is computed once per chain, on
-    first use, from the edge list that also gives the chain's
-    ``bandwidth``.
+    can diagnose a reducible matrix).  Every generated family is
+    irreducible by construction, which the test suite checks over a grid
+    of sizes, and the solver operations refuse a reducible hand-built
+    chain.  The strong-component count behind ``validate_chain`` and that
+    refusal is computed once per chain, on first use, from the edge list
+    that also gives the chain's ``bandwidth``.
     """
 
     size: int
@@ -413,6 +416,8 @@ class TransitionMatrix:
     @cached_property
     def strong_components(self) -> int:
         """Number of strongly connected components of the transition graph."""
+        from scipy.sparse.csgraph import connected_components  # only the checks load csgraph
+
         n_comp, _ = connected_components(self._csr, connection="strong")
         return int(n_comp)
 
@@ -611,6 +616,8 @@ def _graph(spec: ChainSpec):
     src, dst = np.concatenate([u, v]), np.concatenate([v, u])
     order = np.lexsort((dst, src))
     src, dst = src[order], dst[order]
+    from scipy.sparse.csgraph import connected_components
+
     adj = csr_matrix((np.ones(src.size), (src, dst)), shape=(N, N))
     n_comp, _ = connected_components(adj, directed=False)
     if n_comp != 1:
@@ -652,6 +659,42 @@ LUMPINGS = {
     "star": (lambda n, i, j: np.add(i != j, (i != j) & (i != 0) & (j != 0), dtype=np.uint8),
              (0, 1)),
     "hypercube": (lambda d, i, j: _popcounts(d)[i ^ j], (0,)),  # the Hamming distance
+}
+
+
+def _walsh_hadamard(x: np.ndarray) -> np.ndarray:
+    """sum_i x_i (-1)^popcount(i & w) for every w < 2**d, a fresh array: d levels of
+    butterflies, each a sum and a difference of the two halves of every block, O(N d)."""
+    y = np.array(x, dtype=float)
+    h = 1
+    while h < y.size:
+        pairs = y.reshape(-1, 2, h)
+        low = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        np.subtract(low, pairs[:, 1], out=pairs[:, 1])
+        h *= 2
+    return y
+
+
+def _xor_convolution(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """sum_i x_i f(i ^ j) for every j, as WHT^-1(WHT(x) WHT(f)), in O(N log N)."""
+    return _walsh_hadamard(_walsh_hadamard(x) * _walsh_hadamard(f)) / x.size
+
+
+#: the families of ``LUMPINGS`` -> (far, roundings).  ``far(n, x, R)`` is
+#: sum_{k>=1} R[o][k] S_k(j) for every target j, where S_k(j) is the mass of x at
+#: distance k from j and R[o][k] the time of the distance chain of j's orbit o
+#: from its farthest distance down to k (R[o][-1] = 0): nothing on the complete
+#: graph and at the star's centre, R_1 x_0 at a leaf, and on the hypercube the
+#: XOR convolution of x with R[popcount], R_0 left out.  ``roundings(n)`` eps
+#: times far over |x| estimates its rounding error: one rounding a score where
+#: only a product is added, d + 2 where the d butterfly levels of each
+#: Walsh-Hadamard transform add and subtract.
+LUMPED_SCANS = {
+    "complete": (lambda n, x, R: 0.0, lambda n: 1),
+    "star": (lambda n, x, R: np.r_[0.0, np.full(n, R[1][1] * x[0])], lambda n: 1),
+    "hypercube": (lambda d, x, R: _xor_convolution(x, np.r_[0.0, R[0][1:]][_popcounts(d)]),
+                  lambda d: d + 2),
 }
 
 
@@ -845,6 +888,8 @@ class ChainDiagnostics:
 def _chain_period(P: TransitionMatrix) -> int:
     """Period of an irreducible chain: gcd of (level[u] + 1 - level[v]) over edges,
     with BFS levels from state 0, all in O(nnz) on the transition graph."""
+    from scipy.sparse.csgraph import dijkstra
+
     src, dst = P._edges
     level = dijkstra(P._csr, indices=0, unweighted=True).astype(np.int64)
     return int(np.gcd.reduce(level[src] + 1 - level[dst]))

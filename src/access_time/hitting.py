@@ -7,16 +7,19 @@ chain takes its route off its edge list, in this order:
    stationary law and transport scan off its step times, which come
    from its off-diagonal rates, in O(N), and never builds the dense rows;
 2. a walk built from a family of ``chains.LUMPINGS`` (complete graph,
-   star, hypercube) reads its hitting columns and its full matrix off
-   the tridiagonal chain of the distance to the target, whose rates come
-   from one row per distance: O(N + K deg) a column with K distances, and
-   one such chain per orbit of targets for the matrix;
-3. on every other chain, and for the stationary law and the transport
-   scan of the lumped walks, each call of ``stationary_distribution``,
-   ``transport_scan`` or ``hitting_time_matrix`` reduces the dense rows
-   once, O(N^3), and reads the factored result by triangular solves
-   alone, while ``hitting_time_to`` factors a partial-pivoted LU per
-   column.
+   star, hypercube) reads its hitting columns, its full matrix and its
+   transport scan off the tridiagonal chain of the distance to the
+   target, whose rates come from one row per distance: O(N + K deg) a
+   column with K distances, one such chain per orbit of targets for the
+   matrix, and the scan's class sums by distance (``chains.LUMPED_SCANS``)
+   in O(N), or O(N log N) on the hypercube;
+3. on every other chain, each call of ``transport_scan`` or
+   ``hitting_time_matrix`` reduces the dense rows once, O(N^3), and reads
+   the factored result by triangular solves alone, while
+   ``hitting_time_to`` factors a partial-pivoted LU per column.
+   ``stationary_distribution`` reduces them too, except on a walk on an
+   undirected graph (``chains.GRAPH_WALK_FAMILIES``, ``graph`` included),
+   which reads pi_i = deg_i / sum deg off its degrees, in O(N).
 
 Desk-scale by design; the state-count ceiling is
 ``chains.dense_size_cap()``.  ``write_csv`` is the package's one CSV
@@ -35,11 +38,15 @@ from scipy.linalg import lu_solve, solve_triangular
 from scipy.linalg.lapack import dgetrf
 
 from .chains import (
+    GRAPH_WALK_FAMILIES,
+    LUMPED_SCANS,
     LUMPINGS,
     ChainSpecError,
     ProbabilityVector,
     ReducibleChainError,
     TransitionMatrix,
+    _below,
+    _onward,
     check_dense_size,
     frozen,
     step_times,
@@ -71,6 +78,16 @@ EPS = np.finfo(float).eps
 
 
 def _require_solvable(P: TransitionMatrix) -> None:
+    """Refuse a chain past ``chains.dense_size_cap()`` or one that is reducible.
+
+    A chain from ``build_chain`` (one that names its family) returns at
+    once: its state count was checked there, and every generator is
+    irreducible by construction (``graph`` refuses a disconnected edge
+    list as it is built).  A hand-built chain gets the size check and
+    SciPy's strong components, computed once per chain.
+    """
+    if P.spec is not None:
+        return
     check_dense_size(P.size)
     n_comp = P.strong_components
     if n_comp != 1:
@@ -225,18 +242,19 @@ def _lumped_column(P: TransitionMatrix, target: int) -> np.ndarray:
     """Column ``target`` of a walk that lumps by distance: its distance chain's times,
     gathered by each state's distance to the target."""
     c = _distances(P, np.arange(P.size), target)
-    return _distance_chain_times(P, c)[c]
+    return _below(_distance_chain_steps(P, c))[c]
 
 
-def _distance_chain_times(P: TransitionMatrix, c: np.ndarray) -> np.ndarray:
-    """F[k] = E_k[tau_0] on the chain of the distances ``c`` to a target, in O(N + K deg).
+def _distance_chain_steps(P: TransitionMatrix, c: np.ndarray) -> np.ndarray:
+    """down[k] = E_{k+1}[tau_k] on the chain of the distances ``c`` to a target,
+    k = 0..K-2, in O(N + K deg).
 
     Every state at distance k steps to distance k - 1 or k + 1 with the same
     summed rate, so any one state per distance gives the rates of the
     K-state tridiagonal chain: its out-edges, summed per distance by
-    ``math.fsum``, correctly rounded.  F is then the cumulative sum of that
-    chain's ``step_times`` down from each distance, as on a tridiagonal
-    chain: nothing subtracted.
+    ``math.fsum``, correctly rounded, and its ``step_times``.  The times
+    F[k] = E_k[tau_0] to the target are their cumulative sums,
+    ``chains._below(down)``, as on a tridiagonal chain: nothing subtracted.
     """
     K = int(c.max()) + 1
     start, (_, dst) = P._row_starts, P._edges
@@ -248,9 +266,14 @@ def _distance_chain_times(P: TransitionMatrix, c: np.ndarray) -> np.ndarray:
         to = c[dst[out]].astype(np.intp)
         ahead[k] = math.fsum(P.rate[out][to == k + 1].tolist())
         behind[k] = math.fsum(P.rate[out][to == k - 1].tolist())
-    F = np.zeros(K)
-    np.cumsum(step_times(ahead[:-1], behind[1:])[1], out=F[1:])
-    return F
+    return step_times(ahead[:-1], behind[1:])[1]
+
+
+def _orbit_steps(P: TransitionMatrix) -> list[np.ndarray]:
+    """The distance-chain step times of the first target of each orbit of P's
+    ``LUMPINGS`` entry, which every target of the orbit shares."""
+    states = np.arange(P.size)
+    return [_distance_chain_steps(P, _distances(P, states, t)) for t in LUMPINGS[P.family][1]]
 
 
 def _lumped_matrix(P: TransitionMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -260,11 +283,9 @@ def _lumped_matrix(P: TransitionMatrix) -> tuple[np.ndarray, np.ndarray]:
     states = np.arange(N, dtype=P._edges[0].dtype)  # i ^ j no wider than the states
     values, bound = np.empty((N, N)), np.empty(N)
     orbits = LUMPINGS[P.family][1]
-    for lo, hi in zip(orbits, orbits[1:] + (N,)):
-        d = _distances(P, states[:, None], states[lo:hi])
-        F = _distance_chain_times(P, d[:, 0])  # the chain of the orbit's first target
-        values[:, lo:hi] = F[d]
-        bound[lo:hi] = 4 * F.size * EPS
+    for down, lo, hi in zip(_orbit_steps(P), orbits, orbits[1:] + (N,)):
+        values[:, lo:hi] = _below(down)[_distances(P, states[:, None], states[lo:hi])]
+        bound[lo:hi] = 4 * (down.size + 1) * EPS
     return values, bound
 
 
@@ -310,8 +331,10 @@ def hitting_time_matrix(P: TransitionMatrix) -> HittingTimeMatrix:
     """All-pairs mean hitting times, each column with a relative error bound.
 
     A tridiagonal chain is solved one ``hitting_time_to`` column per
-    target, O(N^2) in all.  Each step time adds three roundings to a sum
-    of positive terms, and the cumulative sum one per term, so every
+    target, O(N^2) in all, each column written as a contiguous row of the
+    transposed table, which ``HittingTimeMatrix`` copies once, to C
+    order.  Each step time adds three roundings to a sum of positive
+    terms, and the cumulative sum one per term, so every
     entry is within (4N - 7) u of the exact time to first order, with
     u = eps / 2 the unit roundoff; ``column_bound`` states 3 N eps, with
     margin.  A walk of ``chains.LUMPINGS`` takes ``_lumped_matrix``: one
@@ -331,10 +354,10 @@ def hitting_time_matrix(P: TransitionMatrix) -> HittingTimeMatrix:
     _require_solvable(P)
     N = P.size
     if _is_tridiagonal(P):
-        values = np.empty((N, N))
+        columns = np.empty((N, N))
         for j in range(N):
-            values[:, j] = hitting_time_to(P, j)
-        return HittingTimeMatrix(values, P.labels, column_bound=np.full(N, 3 * N * EPS))
+            columns[j] = hitting_time_to(P, j)
+        return HittingTimeMatrix(columns.T, P.labels, column_bound=np.full(N, 3 * N * EPS))
     if P.family in LUMPINGS:
         values, bound = _lumped_matrix(P)
         return HittingTimeMatrix(values, P.labels, column_bound=bound)
@@ -394,14 +417,19 @@ def stationary_distribution(P: TransitionMatrix) -> ProbabilityVector:
     """Invariant law of an irreducible chain.
 
     A tridiagonal chain is reversible, and ``_balance_law`` reads pi off
-    its detailed-balance ratios in O(N).  Every other chain reads it off
-    ``_grounded_factors``, by one triangular solve.  Neither route ever
-    subtracts, so each entry of pi keeps a small relative error, however
-    stiff the rates, and the residual of pi P = pi stays near machine
-    precision.
+    its detailed-balance ratios in O(N).  Any other walk on an undirected
+    graph, a family of ``chains.GRAPH_WALK_FAMILIES``, is reversible with
+    pi_i = deg_i / sum deg, read off the edge list's row starts in O(N):
+    the degrees and their sum are exact, so each weight is correctly
+    rounded.  Every other chain reads pi off ``_grounded_factors``, by one
+    triangular solve.  No route ever subtracts, so each entry of pi keeps
+    a small relative error, however stiff the rates, and the residual of
+    pi P = pi stays near machine precision.
     """
     if _is_tridiagonal(P):
         return _balance_law(P)
+    if P.family in GRAPH_WALK_FAMILIES:  # a degree is a row's count of edges, all to neighbours
+        return ProbabilityVector(np.diff(P._row_starts).astype(float))
     return _grounded_factors(P)[1]
 
 
@@ -478,7 +506,9 @@ def transport_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, floa
 
     d goes through ``zero_sum`` first, as on the matrix route, and M is
     never formed.  A tridiagonal chain reads the scan off two cumulative
-    sums of d (``_tridiagonal_scan``), in O(N).  Every other chain reads
+    sums of d (``_tridiagonal_scan``), in O(N), and a walk of
+    ``chains.LUMPINGS`` off the class sums of d by distance
+    (``_lumped_scan``), in O(N) or O(N log N).  Every other chain reads
     (d @ M)_j = d.h0 - y_j / pi_j (Kemeny-Snell) off one
     ``_state_reduction``.  Here y (I - P) = d with y_0 = 0, and h0 is
     the hitting column to state 0; the identity needs sum(d) = 0.  With
@@ -490,12 +520,14 @@ def transport_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, floa
     cancellation is in the final difference, and eps times the sum of
     the magnitudes that meet there estimates its error.  The estimate
     leaves out the rounding of the triangular solves themselves, so it
-    is not a bound: on the hypercube at d = 10 to 12 the error reached
-    2 to 4 times it.
+    is not a bound: on the hypercube at d = 10 to 12, measured while that
+    family still took this route, the error reached 2 to 4 times it.
     """
     d = zero_sum(d)
     if _is_tridiagonal(P):
         return _tridiagonal_scan(P, d)
+    if P.family in LUMPINGS:
+        return _lumped_scan(P, d)
     solve, pi = _grounded_factors(P)
     r = solve(np.ones(pi.dim), unit_diagonal=True)
     r[0] = 0.0
@@ -538,6 +570,39 @@ def _tridiagonal_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, f
         return out
 
     return scan(d), float(4 * EPS * scan(np.abs(d)).max())
+
+
+def _lumped_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, float]:
+    """d @ M of a walk that lumps by distance, and its error estimate, in O(N), or
+    O(N log N) on the hypercube.
+
+    E_i[tau_j] = F[dist(i, j)] with F the distance-chain times of j's
+    orbit, K distances.  Write F[k] = R[0] - R[k], where R =
+    ``chains._onward(down)`` sums the step times from distance k on, with
+    nothing subtracted.  With s = sum d, correctly rounded, and S_k(j) the
+    mass of d at distance k from j,
+
+        (d @ M)_j = R[0] (s - d_j) - sum_{k>=1} R[k] S_k(j),
+
+    whose far sums are the family's ``chains.LUMPED_SCANS`` entry.  The
+    large times meet only in R[0] (s - d_j), where s is near 0.  Over |d|
+    and |s| the same terms give the magnitudes A_j = R[0] (|s| + |d_j|)
+    and C_j, the far sums.  To first order the subtraction, the product
+    and the final difference round by at most 1.5 eps A_j, and the far
+    sums by the entry's rounding count times eps C_j (an estimate, not a
+    bound, for the hypercube's butterflies); the largest sum is the
+    estimate.  It leaves out R's own rounding, within the 4 K eps relative
+    of the lumped matrix's column bound, as the other routes leave out
+    their solves' or step times' rounding.
+    """
+    far, roundings = LUMPED_SCANS[P.family]
+    n, orbits = P.spec.n, LUMPINGS[P.family][1]
+    tails = [_onward(down) for down in _orbit_steps(P)]
+    top = np.repeat([R[0] for R in tails], np.diff(orbits + (P.size,)))  # R[0] per target
+    s, magnitude = math.fsum(d.tolist()), np.abs(d)
+    per_target = top * (s - d) - far(n, d, tails)
+    err = EPS * (1.5 * top * (abs(s) + magnitude) + roundings(n) * far(n, magnitude, tails)).max()
+    return per_target, float(err)
 
 
 @np.errstate(all="ignore")  # a non-finite result is refused, not warned about

@@ -70,6 +70,37 @@ def fraction_stationary(rows):
     return _solve_fraction(A, b)
 
 
+def fraction_distance_chains(rows):
+    """Per target j, the graph distance of every state to j and the exact times
+    F_k = E_k[tau_0] of the chain of that distance, for a walk whose hitting
+    times depend only on the distance to the target.
+
+    The distances are found breadth first over the pattern of the rows; one
+    state per distance k gives the Fraction rates of the tridiagonal
+    distance chain, p_{k,k+1} and p_{k,k-1}, and its step times down to the
+    target, down_k = (1 + p_{k+1,k+2} down_{k+1}) / p_{k+1,k}, sum to F.
+    """
+    P = [[Fraction(x) for x in row] for row in np.asarray(rows, dtype=float).tolist()]
+    N = len(P)
+    chains = []
+    for target in range(N):
+        dist, frontier, k = {target: 0}, [target], 0
+        while frontier:
+            k += 1
+            frontier = [i for i in range(N) if i not in dist and any(P[i][j] for j in frontier)]
+            dist.update((i, k) for i in frontier)
+        K = max(dist.values()) + 1
+        rep = {dist[i]: i for i in range(N)}
+        to = [[sum(p for j, p in enumerate(P[rep[k]]) if dist[j] == m) for m in range(K)]
+              for k in range(K)]
+        down = [Fraction(0)] * K  # down[k] = E_{k+1}[tau_k]; down[K-1] unused
+        for k in range(K - 2, -1, -1):
+            onward = to[k + 1][k + 2] * down[k + 1] if k + 2 < K else 0
+            down[k] = (1 + onward) / to[k + 1][k]
+        chains.append(([dist[i] for i in range(N)], [sum(down[:k], Fraction(0)) for k in range(K)]))
+    return chains
+
+
 def brute_access(hitting_values, mu, nu):
     """max_j sum_i (mu_i - nu_i) E_i[tau_j] with plain Python loops."""
     values = np.asarray(hitting_values, dtype=float)

@@ -80,17 +80,24 @@ def test_hypercube_rows_and_labels():
     assert cube.rows[0, 1] == pytest.approx(1 / 3)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        ChainSpec("birth_death", n=512, p=0.1),
-        ChainSpec("winning_streak", n=40),
-        ChainSpec("hypercube", n=9),
-        ChainSpec("path", n=512),
-        ChainSpec("complete", n=512),
-        ChainSpec("star", n=512),
-    ],
-)
+#: every generator over a grid of sizes, stiff birth-death rates included: the solver
+#: skips the strong components of every chain ``build_chain`` makes, so they are checked here
+GENERATOR_GRID = [
+    ChainSpec("birth_death", n=512, p=0.1),
+    ChainSpec("winning_streak", n=40),
+    ChainSpec("hypercube", n=9),
+    ChainSpec("path", n=512),
+    ChainSpec("complete", n=512),
+    ChainSpec("star", n=512),
+    *(ChainSpec("birth_death", n=n, p=p) for n in (1, 2, 3, 8, 65)
+      for p in (0.5, 0.1, 1e-12, 5e-324)),
+    *(ChainSpec("winning_streak", n=n) for n in (1, 2, 3, 8)),
+    *(ChainSpec("hypercube", n=d) for d in range(1, 9)),
+    *(ChainSpec(family, n=n) for family in ("path", "complete", "star") for n in (1, 2, 3, 8, 129)),
+]
+
+
+@pytest.mark.parametrize("spec", GENERATOR_GRID)
 def test_rows_stochastic_and_irreducible(spec):
     chain = build_chain(spec)
     assert np.abs(chain.rows.sum(axis=1) - 1.0).max() <= 1e-12
@@ -276,7 +283,8 @@ def test_one_sparsity_pass_serves_scc_and_bandwidth(monkeypatch):
 
 
 def test_dense_routes_build_their_arrays_from_the_edges(monkeypatch):
-    # a graph walk is neither tridiagonal nor lumped, so every solve below is dense
+    # a graph walk is neither tridiagonal nor lumped, so every solve below but its
+    # stationary law, read off the degrees, is dense
     edges = random_connected_graph(7, np.random.default_rng(3), 6)
     chain = build_chain(ChainSpec("graph", edges=edges))
     built = []
@@ -284,14 +292,14 @@ def test_dense_routes_build_their_arrays_from_the_edges(monkeypatch):
     monkeypatch.setattr(TransitionMatrix, "dense", lambda self, *order: built.append(order)
                         or dense(self, *order))
     scans = _count_row_scans(monkeypatch, chain.size)
-    assert validate_chain(chain).irreducible  # the stationary law's state reduction
+    assert validate_chain(chain).irreducible  # the degree law: no dense array
     M = hitting_time_matrix(chain)  # the one-reduction matrix and its certificate
     hitting_time_to(chain, 3)  # the per-target LU
     simulate_rule(chain, dirac(1, 7), dirac(2, 7), samples=1000, seed=0, hitting=M)
     access_time(chain, dirac(1, 7), dirac(2, 7))  # the transport scan's state reduction
-    # the law's and the matrix's state reductions, the certificate's first-step
-    # matrix, the LU's in Fortran order and the scan's state reduction
-    assert built == [(), (), ("C",), ("F",), ()]
+    # the matrix's state reduction, the certificate's first-step matrix, the
+    # LU's in Fortran order and the scan's state reduction
+    assert built == [(), ("C",), ("F",), ()]
     # each dense route writes its own working array from the edges: no scan, no cached view
     assert scans == [] and "rows" not in vars(chain)
     TransitionMatrix(chain.rows)  # a hand-built matrix is scanned once, into its edges

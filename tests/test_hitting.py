@@ -275,8 +275,21 @@ def test_stationary_panels_graph_walk(N, rng):
     edges = random_connected_graph(N, rng, extra_edges=N)
     chain = build_chain(ChainSpec("graph", edges=edges))
     deg = np.bincount(np.ravel(edges), minlength=N)
-    pi = stationary_distribution(chain).weights
+    # by hand the walk names no family, so its law comes from the blocked reduction
+    pi = stationary_distribution(TransitionMatrix(chain.rows)).weights
     np.testing.assert_allclose(pi, deg / (2 * len(edges)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n, extra", [(2, 0), (5, 3), (17, 9), (40, 0), (40, 200), (129, 129)])
+def test_degree_law_matches_the_state_reduction(n, extra, rng):
+    edges = random_connected_graph(n, rng, extra_edges=extra)
+    chain = build_chain(ChainSpec("graph", edges=edges))
+    with mock.patch.object(hitting, "_state_reduction", side_effect=AssertionError("reduced")):
+        pi = stationary_distribution(chain).weights
+    deg = np.bincount(np.ravel(edges), minlength=n)
+    assert np.array_equal(pi, deg / (2.0 * len(edges)))  # each weight correctly rounded
+    np.testing.assert_allclose(pi, hitting._grounded_factors(chain)[1].weights, rtol=1e-13)
+    assert detailed_balance_residual(chain, stationary_distribution(chain)) <= 1e-15
 
 
 @pytest.mark.parametrize("N", PANEL_SIZES)
@@ -453,29 +466,41 @@ def test_hitting_matrix_stiff_birth_death(p):
     )
 
 
-def test_strong_components_computed_once_per_chain(monkeypatch):
-    import importlib
+@pytest.fixture
+def strong_component_calls(monkeypatch):
+    """Every call of SciPy's strong components, patched in ``scipy.sparse.csgraph``,
+    where the chain looks it up on its first use."""
+    import scipy.sparse.csgraph as csgraph
 
-    calls = []
-    for name in ("chains", "hitting", "simulate", "access", "cli"):
-        module = importlib.import_module(f"access_time.{name}")
-        original = getattr(module, "connected_components", None)
-        if original is None:
-            continue
+    calls, original = [], csgraph.connected_components
 
-        def counting(*args, _original=original, **kwargs):
-            if kwargs.get("connection") == "strong":
-                calls.append(args)
-            return _original(*args, **kwargs)
+    def counting(*args, **kwargs):
+        if kwargs.get("connection") == "strong":
+            calls.append(args)
+        return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, "connected_components", counting)
+    monkeypatch.setattr(csgraph, "connected_components", counting)
+    return calls
+
+
+def test_strong_components_computed_once_per_chain(strong_component_calls):
     chain = build_chain(ChainSpec("path", n=8))
     uniform = ProbabilityVector(np.full(9, 1 / 9))
-    assert validate_chain(chain).irreducible
-    stationary_distribution(chain)
-    hitting_time_matrix(chain)
-    simulate_rule(chain, uniform, uniform, samples=1_000, seed=2)
-    assert len(calls) == 1
+
+    def solve_all(P):
+        stationary_distribution(P)
+        hitting_time_matrix(P)
+        simulate_rule(P, uniform, uniform, samples=1_000, seed=2)
+
+    solve_all(chain)
+    assert strong_component_calls == []  # irreducible by construction: no solve checks it
+    assert validate_chain(chain).irreducible  # the diagnostics count its components
+    assert len(strong_component_calls) == 1
+    hand_built = TransitionMatrix(chain.rows)
+    solve_all(hand_built)
+    solve_all(hand_built)
+    assert validate_chain(hand_built).irreducible
+    assert len(strong_component_calls) == 2  # once per hand-built chain, then cached
 
 
 def test_reducible_chain_refused_by_every_solve():

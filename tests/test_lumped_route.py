@@ -7,7 +7,10 @@ same summed rate, so the distance is itself a tridiagonal chain
 elimination within the a priori ``column_bound``, every family
 partition must be lumpable on the dense rows for every target, and
 ``scale`` and ``bounds`` on these families must never reach a dense
-route.
+route.  Their transport scan, read off the class sums of the laws'
+difference by distance, must match the exact distance-chain scores
+within its printed estimate, and ``compute`` and ``gen`` on them, and
+``gen`` on any graph walk, must never reach the state reduction.
 """
 import contextlib
 import csv
@@ -18,11 +21,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from access_time import ChainSpec, TransitionMatrix, build_chain, hitting_time_matrix
-from access_time import complete_hitting_formula, hitting, hitting_time_to, star_hitting_formula
-from access_time.chains import LUMPINGS
+from access_time import ChainSpec, ProbabilityVector, TransitionMatrix, access, access_time
+from access_time import build_chain
+from access_time import complete_hitting_formula, hitting, hitting_time_matrix, hitting_time_to
+from access_time import random_connected_graph, star_hitting_formula, transport_scan
+from access_time.chains import LUMPINGS, _onward
+from access_time.hitting import zero_sum
 from access_time.cli import main
-from oracles import cube_antipodal_exact, fraction_hitting_matrix
+from conftest import dirac, dirichlet_pair
+from oracles import cube_antipodal_exact, fraction_distance_chains, fraction_hitting_matrix
 from test_hitting import assert_within_column_bounds
 
 EPS = np.finfo(float).eps
@@ -134,3 +141,86 @@ def test_scale_and_bounds_on_lumped_walks_never_reach_a_dense_route(capsys, tmp_
     for row in sweep:
         want = expected[row["family"]](int(row["n"]))
         assert float(row["max_hitting"]) == pytest.approx(want, rel=1e-13)
+
+
+SCAN_SPECS = [
+    *(ChainSpec("star", n=n) for n in (2, 3, 20)),
+    *(ChainSpec("complete", n=n) for n in (2, 20)),
+    *(ChainSpec("hypercube", n=d) for d in (2, 3, 4, 5, 6)),
+]
+
+
+def _scan_laws(rng, N):
+    """Random pairs of laws: dense, sparse, Dirac and the two halves of the states."""
+    yield from (dirichlet_pair(rng, N) for _ in range(3))
+    sparse = rng.dirichlet(np.ones(N)) * (rng.random(N) < 0.3)
+    yield ProbabilityVector(sparse + (sparse.sum() == 0)), ProbabilityVector(np.full(N, 1 / N))
+    i, j = rng.choice(N, size=2, replace=False)
+    yield dirac(i, N), dirac(j, N)
+    half = np.arange(N) < N // 2
+    yield ProbabilityVector(half.astype(float)), ProbabilityVector((~half).astype(float))
+
+
+@pytest.mark.parametrize("spec", SCAN_SPECS, ids=_ids(SCAN_SPECS))
+def test_lumped_scan_matches_exact_scores_within_its_estimate(spec):
+    chain = build_chain(spec)
+    chains = fraction_distance_chains(chain.rows)
+    # the tails R_k of the step times from distance k on, as the scan reads them, per target
+    orbits = LUMPINGS[spec.family][1]
+    tails = [_onward(down) for down in hitting._orbit_steps(chain)]
+    read = [[Fraction(r) for r in tails[sum(o <= j for o in orbits) - 1]] for j in range(chain.size)]
+    rng = np.random.default_rng(spec.n)
+    for mu, nu in _scan_laws(rng, chain.size):
+        with dense_routes_refused() as refuse:
+            scores, err = transport_scan(chain, mu.weights - nu.weights)
+        assert not refuse.called
+        d = [Fraction(x) for x in zero_sum(mu.weights - nu.weights).tolist()]
+        s = abs(sum(d))
+        for score, R, (dist, F) in zip(scores.tolist(), read, chains):
+            # the scan's own arithmetic, on the times it read, is within the estimate
+            assert abs(Fraction(score) - sum(x * (R[0] - R[k]) for x, k in zip(d, dist))) <= err
+            # the times' own rounding adds at most the lumped column bound, 4 K eps, relative
+            # to the magnitudes R_0 |s| + sum_i |d_i| R_dist(i,j) that meet in the score
+            exact = sum(x * F[k] for x, k in zip(d, dist))
+            scale = (F[-1] - F[0]) * s + sum(abs(x) * (F[-1] - F[k]) for x, k in zip(d, dist))
+            assert abs(Fraction(score) - exact) <= err + 4 * len(F) * Fraction(EPS) * scale
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--chain", '{"family":"complete","n":40}', "--mu", "binomial:0.3",
+     "--nu", "dirac:7", "--closed-form"],
+    ["compute", "--chain", '{"family":"star","n":40}', "--mu", "uniform", "--nu", "dirac:0",
+     "--closed-form"],
+    ["compute", "--chain", '{"family":"star","n":40}', "--mu", "stationary", "--nu", "dirac:3",
+     "--closed-form"],
+    ["compute", "--chain", '{"family":"hypercube","n":7}', "--mu", "dirac:0", "--nu", "uniform"],
+    ["compute", "--chain", '{"family":"hypercube","n":6}', "--mu", "stationary",
+     "--nu", "dirac:63"],
+    *(["gen", "--chain", json.dumps({"family": f, "n": n})]
+      for f, n in (("complete", 40), ("star", 40), ("hypercube", 7))),
+    ["gen", "--chain", json.dumps(
+        {"family": "graph", "edges": random_connected_graph(30, np.random.default_rng(5), 20)})],
+], ids=lambda argv: f"{argv[0]}-{json.loads(argv[2])['family']}")
+def test_compute_and_gen_never_reach_the_state_reduction(argv, capsys):
+    with dense_routes_refused() as refuse:
+        assert main(argv) == 0
+    assert not refuse.called
+    out = json.loads(capsys.readouterr().out)
+    if argv[0] == "gen":
+        assert out["diagnostics"]["irreducible"] and out["diagnostics"]["reversible"]
+    elif "family_report" in out:
+        report = out["family_report"]
+        assert report["discrepancy"] <= 1e-12 * max(1.0, abs(out["value"]))
+
+
+def test_a_refused_lumped_scan_falls_back_to_the_lumped_matrix(rng):
+    for spec in (ChainSpec("star", n=20), ChainSpec("complete", n=20), ChainSpec("hypercube", n=5)):
+        chain = build_chain(spec)
+        mu, nu = dirichlet_pair(rng, chain.size)
+        with dense_routes_refused() as refuse:
+            scanned = access_time(chain, mu, nu)
+            with mock.patch.object(access, "SCAN_GATE", 0.0):
+                refused = access_time(chain, mu, nu)
+        assert not refuse.called
+        assert (scanned.route, refused.route) == ("scan", "matrix")
+        assert refused.value == pytest.approx(scanned.value, rel=1e-12)

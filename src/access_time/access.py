@@ -49,8 +49,9 @@ from .hitting import (
 
 #: a closed form counts as agreeing with the solver inside this relative band
 ERRATUM_REL_TOL = 1e-8
-#: the transport scan stands when its error estimate is within this band of
-#: the value (relative, with a unit floor); otherwise the hitting matrix answers
+#: the transport scan stands when the error estimate of its maximum is within
+#: this band of the value (relative, with a unit floor); otherwise the hitting
+#: matrix answers
 SCAN_GATE = 1e-12
 
 
@@ -61,8 +62,9 @@ class AccessResult:
     ``per_target[j] = sum_i (mu_i - nu_i) E_i[tau_j]`` and ``value`` is its
     maximum; ``argmax_target`` is the smallest state index attaining it.
     ``route`` names the solver that answered: ``"scan"``
-    (``hitting.transport_scan``, ``error_bound`` its absolute error
-    estimate) or ``"matrix"`` (the hitting matrix, ``error_bound`` None).
+    (``hitting.transport_scan``, ``error_bound`` the absolute error
+    estimate of ``value``) or ``"matrix"`` (the hitting matrix,
+    ``error_bound`` None).
     """
 
     value: float
@@ -129,9 +131,11 @@ def access_time(
         Source and target laws on P's state space.
     hitting : HittingTimeMatrix, optional
         Precomputed solver output, reused across many (mu, nu) pairs.
-        Without it the pair is read off ``transport_scan``, unless its
-        error estimate fails ``SCAN_GATE``; then the matrix is built.
-        Both routes evaluate mu - nu projected by ``zero_sum``.
+        Without it the pair is read off ``transport_scan``, unless the
+        error estimate of its maximum, max(e_j*, max_j (s_j + e_j) - s_j*)
+        with s_j the scores, e_j their estimates and j* the argmax, fails
+        ``SCAN_GATE``; then the matrix is built.  Both routes evaluate
+        mu - nu projected by ``zero_sum``.
 
     Returns
     -------
@@ -141,11 +145,12 @@ def access_time(
     check_laws(P.size, mu, nu)
     d = mu.weights - nu.weights
     if hitting is None:
-        scores, bound = transport_scan(P, d)
-        # an infinite bound would pass against an infinite score
-        if np.isfinite(bound) and bound <= SCAN_GATE * max(1.0, abs(float(scores.max()))):
+        scores, err = transport_scan(P, d)
+        if np.isfinite(scores).all() and np.isfinite(err).all():
             value, argmax = argmax_smallest(scores)
-            return AccessResult(value, argmax, scores, route="scan", error_bound=bound)
+            bound = max(float(err[scores.argmax()]), float((scores + err).max()) - value)
+            if bound <= SCAN_GATE * max(1.0, abs(value)):
+                return AccessResult(value, argmax, scores, route="scan", error_bound=bound)
         hitting = hitting_time_matrix(P)
     scores = zero_sum(d) @ hitting.values
     value, argmax = argmax_smallest(scores)

@@ -48,9 +48,6 @@ from scipy.sparse import csr_matrix
 
 ROW_SUM_HARD_TOL = 1e-9
 
-#: side of the square tiles ``TransitionMatrix.dense`` swaps to transpose in place
-_TILE = 128
-
 SIZE_CAP_ENV = "ACCESS_TIME_MAX_N"
 DEFAULT_SIZE_CAP = 4096
 
@@ -362,25 +359,11 @@ class TransitionMatrix:
         rows.setflags(write=False)
         return rows
 
-    def dense(self, order: str = "C") -> np.ndarray:
-        """A fresh N x N array of the rates in memory ``order``, zero off the edges:
-        O(N^2) memory, so only the dense routes build one, as their working array.
-
-        The rows are written in C order from the edge list.  For Fortran order
-        the array is then transposed in place, tile by tile, and its transpose
-        returned: ``scipy.sparse`` would first convert the whole edge list to
-        columns, a second copy of it.
-        """
-        A = self._csr.toarray()
-        if order == "C":
-            return A
-        for i in range(0, self.size, _TILE):
-            A[i : i + _TILE, i : i + _TILE] = A[i : i + _TILE, i : i + _TILE].T.copy()
-            for j in range(i + _TILE, self.size, _TILE):
-                upper = A[i : i + _TILE, j : j + _TILE].copy()
-                A[i : i + _TILE, j : j + _TILE] = A[j : j + _TILE, i : i + _TILE].T
-                A[j : j + _TILE, i : i + _TILE] = upper.T
-        return A.T
+    def dense(self) -> np.ndarray:
+        """A fresh N x N array of the rates, zero off the edges, written in C order
+        from the edge list: O(N^2) memory, so only the dense routes build one, as
+        their working array."""
+        return self._csr.toarray()
 
     @cached_property
     def row_sum_residual(self) -> float:

@@ -8,7 +8,7 @@ JSON reports go through ``_emit_json``, to stdout or, for ``simulate``, to
 
 Exit codes: 0 success, 1 verification or consistency failure, 2 input
 validation or an ``--out`` path that cannot be written, 3 numerical trouble
-(reducible chain, singular system).
+(reducible chain, hitting times past the float range).
 """
 from __future__ import annotations
 

@@ -15,8 +15,9 @@ chain takes its route off its edge list, in this order:
    in O(N), or O(N log N) on the hypercube;
 3. on every other chain, each call of ``transport_scan`` or
    ``hitting_time_matrix`` reduces the dense rows once, O(N^3), and reads
-   the factored result by triangular solves alone, while
-   ``hitting_time_to`` factors a partial-pivoted LU per column.
+   the factored result by triangular solves alone; a column of
+   ``hitting_time_to``, or one the matrix's certificate refuses, is read
+   off the same reduction rooted at its target.
    ``stationary_distribution`` reduces them too, except on a walk on an
    undirected graph (``chains.GRAPH_WALK_FAMILIES``, ``graph`` included),
    which reads pi_i = deg_i / sum deg off its degrees, in O(N).
@@ -34,8 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_solve, solve_triangular
-from scipy.linalg.lapack import dgetrf
+from scipy.linalg import solve_triangular
 
 from .chains import (
     GRAPH_WALK_FAMILIES,
@@ -73,6 +73,8 @@ _BALANCE_BLOCK = 512
 #: the closed-form checks, where 1e-12 would refuse every column of a walk
 #: on the complete graph (given as a ``graph``) at N = 129 on rounding alone
 CERT_GATE = 1e-10
+#: entries per stack of rooted arrays: one array per stack past 362 states
+_ROOTED_ENTRIES = 1 << 17
 
 EPS = np.finfo(float).eps
 
@@ -169,28 +171,20 @@ def argmax_smallest(scores: np.ndarray) -> tuple[float, int]:
 def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
     """Mean hitting times of one target state from every start.
 
-    The column h solves the first-step system
-
-        h_target = 0,    sum_{k != i} p_ik (h_i - h_k) = 1   (i != target),
-
-    which reads only the off-diagonal rates: the diagonal is the row's
-    off-diagonal sum, never 1 - p_ii, so a chain that mostly holds in
-    place loses no digits to cancellation.
-
-    A tridiagonal chain (``P.bandwidth`` at most (1, 1)) needs no linear
-    solve: a walk from i to j crosses every edge between them, so
+    No route reads 1 - p_ii or subtracts, so a chain that mostly holds
+    in place loses no digits to cancellation.  A tridiagonal chain
+    (``P.bandwidth`` at most (1, 1)) needs no linear solve: a walk from
+    i to j crosses every edge between them, so
     E_i[tau_j] is up_i + ... + up_{j-1} below j and down_j + ... +
     down_{i-1} above it, with the step times of ``P.step_times``, read
     once per chain; two cumulative sums, O(N), no subtraction and no
     pivot.  A walk built from a family of ``chains.LUMPINGS`` needs none
     either: E_i[tau_j] depends only on the distance of i to j, and the
     distance follows a tridiagonal chain whose step times give the
-    column, in O(N + K deg) with K distances.  Every other chain is
-    factored densely with partial-pivoted LU, in O(N^3).  A refused
-    column raises ``LinAlgError`` naming the target and the cause: a
-    singular system where the dense LU meets an exactly zero pivot, and
-    hitting times past the float range where the column is otherwise not
-    finite.
+    column, in O(N + K deg) with K distances.  Every other chain takes
+    ``_rooted_columns``, in O(N^3).  A column that is not finite, from an
+    overflowing time or a pivot that underflows to 0, raises
+    ``LinAlgError``: the target's hitting times exceed the float range.
 
     Parameters
     ----------
@@ -213,10 +207,17 @@ def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
     elif P.family in LUMPINGS:
         h = _lumped_column(P, target)
     else:
-        h = _dense_column(P, target)
-    if not np.isfinite(h).all():
-        raise np.linalg.LinAlgError(f"hitting times of target {target} exceed the float range")
+        h = _rooted_columns(P, np.array([target]))[:, 0]
+    _refuse_non_finite(h[:, None], (target,))
     return h
+
+
+def _refuse_non_finite(columns: np.ndarray, targets) -> None:
+    """Raise ``LinAlgError`` naming the first of ``targets`` whose column is not finite."""
+    finite = np.isfinite(columns)
+    if not finite.all():  # a flat test first: a tridiagonal matrix runs it per column
+        target = targets[(~finite.all(axis=0)).argmax()]
+        raise np.linalg.LinAlgError(f"hitting times of target {target} exceed the float range")
 
 
 def _is_tridiagonal(P: TransitionMatrix) -> bool:
@@ -289,42 +290,47 @@ def _lumped_matrix(P: TransitionMatrix) -> tuple[np.ndarray, np.ndarray]:
     return values, bound
 
 
-def _first_step_matrix(P: TransitionMatrix, order: str = "C") -> np.ndarray:
-    """The first-step matrix L of P, a fresh array in memory ``order``, written from
-    the edges by ``P.dense``.
+def _rooted_columns(P: TransitionMatrix, targets: np.ndarray) -> np.ndarray:
+    """The hitting columns to ``targets``, each off the state reduction rooted at it.
 
-    L_ik = -p_ik off the diagonal and L_ii = sum_{k != i} p_ik, the row's
-    off-diagonal rates, never 1 - p_ii, so a chain that mostly holds in
-    place loses no digits to cancellation.
+    Each target's array is written from the edges with the target moved to
+    state 0; ``_state_reduction`` folds up to ``_ROOTED_ENTRIES`` entries of
+    them as one stack, paying its per-state loop once, and the column is
+    E_i[tau_0] of the relabelled chain.  Nothing is subtracted, so each
+    entry keeps a small relative error however stiff the rates.
     """
-    L = P.dense(order)
-    np.negative(L, out=L)
-    np.fill_diagonal(L, 0.0)
-    np.fill_diagonal(L, -L.sum(axis=1))
-    return L
+    N, (src, dst) = P.size, P._edges
+    batch, stacks = max(1, _ROOTED_ENTRIES // (N * N)), []
+    for lo in range(0, targets.size, batch):
+        roots = targets[lo : lo + batch, None]
+        A = np.zeros((roots.size, N, N))
+        A[np.arange(roots.size)[:, None], _rooted(src, roots), _rooted(dst, roots)] = P.rate
+        h = _times_to_root(_state_reduction(A))  # relabelled: state i at _rooted(i, root)
+        stacks.append(np.take_along_axis(h, _rooted(np.arange(N), roots), axis=1))
+    columns = np.concatenate(stacks).T
+    _refuse_non_finite(columns, targets)
+    return columns
 
 
-def _dense_column(P: TransitionMatrix, target: int) -> np.ndarray:
-    """The first-step system with the target's row and column pinned to the identity.
+def _rooted(states: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The label of each of ``states`` once state ``roots`` is moved to 0, broadcast."""
+    return np.where(states == roots, 0, states + (states < roots))
 
-    One Fortran-ordered ``_first_step_matrix``, factored in place by
-    LAPACK: row and column ``target`` read as the identity with a zero
-    right-hand side, so h_target = 0 and the other rows are those of the
-    system without the target, with no (N-1) x (N-1) gather.  LAPACK's
-    ``getrf`` factors it, the routine behind ``scipy.linalg.lu_factor``
-    without its warning; an exactly zero pivot raises ``LinAlgError``, as
-    the system is singular.
-    """
-    A = _first_step_matrix(P, order="F")
-    A[target, :] = 0.0
-    A[:, target] = 0.0
-    A[target, target] = 1.0
-    lu, piv, info = dgetrf(A, overwrite_a=True)  # info > 0: U has an exactly zero pivot
-    if info > 0:
-        raise np.linalg.LinAlgError(f"singular first-step system for target {target}")
-    b = np.ones(P.size)
-    b[target] = 0.0
-    return lu_solve((lu, piv), b, overwrite_b=True)
+
+@np.errstate(all="ignore")  # a zero pivot gives a non-finite time, which is refused
+def _times_to_root(A: np.ndarray) -> np.ndarray:
+    """E_i[tau_0] off an array, or a stack, reduced by ``_state_reduction``: h =
+    L^-1 U^-1 1 in the factors of ``_grounded_factors``, read as x_i = 1 + sum_{k>i}
+    a_ik x_k upward, then x_0 = 0 and h_k = (x_k + sum_{j<k} a_kj h_j) / a_kk downward."""
+    N = A.shape[-1]
+    h = np.ones(A.shape[:-1])
+    for i in range(N - 2, -1, -1):
+        h[..., i] += np.einsum("...k,...k", A[..., i, i + 1 :], h[..., i + 1 :])
+    h[..., 0] = 0.0
+    for k in range(1, N):
+        h[..., k] += np.einsum("...j,...j", A[..., k, :k], h[..., :k])
+        h[..., k] /= A[..., k, k]
+    return h
 
 
 def hitting_time_matrix(P: TransitionMatrix) -> HittingTimeMatrix:
@@ -346,10 +352,10 @@ def hitting_time_matrix(P: TransitionMatrix) -> HittingTimeMatrix:
     step, (2K - 3) u: (6K - 10) u to first order.  Every other chain
     takes ``_grounded_matrix``, O(N^3) from one state reduction, and
     ``_column_bounds`` certifies each column j with a relative error
-    bound b_j.  A column with b_j > ``CERT_GATE``,
-    or with a non-finite entry, is solved again by ``hitting_time_to``
-    and certified again, so it is exactly the per-target column; its
-    bound is kept whether or not it now passes the gate.
+    bound b_j.  The columns with b_j > ``CERT_GATE``, or with a
+    non-finite entry, are solved again by one ``_rooted_columns`` and
+    certified again, so each is exactly the column of ``hitting_time_to``;
+    its bound is kept whether or not it now passes the gate.
     """
     _require_solvable(P)
     N = P.size
@@ -364,15 +370,16 @@ def hitting_time_matrix(P: TransitionMatrix) -> HittingTimeMatrix:
     values = _grounded_matrix(P)
     bound = _column_bounds(P, values, np.arange(N))
     refused = np.flatnonzero(~(bound <= CERT_GATE))  # a NaN bound compares false
-    for j in refused:
-        values[:, j] = hitting_time_to(P, j)
     if refused.size:
+        values[:, refused] = _rooted_columns(P, refused)
         bound[refused] = _column_bounds(P, values[:, refused], refused)
     return HittingTimeMatrix(values=values, labels=P.labels, column_bound=bound)
 
 
-def _state_reduction(P: TransitionMatrix) -> np.ndarray:
-    """Blocked Grassmann-Taksar-Heyman reduction of a chain, as one array.
+@np.errstate(all="ignore")  # a zero pivot gives a non-finite result, which is refused
+def _state_reduction(A: np.ndarray) -> np.ndarray:
+    """Blocked Grassmann-Taksar-Heyman reduction, in place, of the rates ``A`` of a
+    chain, or of a stack of them (``A[b]`` each) with every step over the stack.
 
     Fold state k into states 0..k-1 for k = N-1 down to 1: divide column
     k by its pivot, the row sum sum_{j<k} a_kj, then add the outer
@@ -382,33 +389,31 @@ def _state_reduction(P: TransitionMatrix) -> np.ndarray:
     ``A[:k, k]``: the factored form of ``_grounded_factors``.
 
     States fold in panels of ``STATIONARY_PANEL``.  Inside a panel, each
-    state first receives the pending updates of the panel states folded
-    before it: its row left of the panel and its column above the panel,
-    as two matrix-vector products.  The panel's own block is updated
-    per state.  The rest of the leading block then takes the whole
-    panel at once, ``A[:lo, :lo] += A[:lo, lo:hi] @ A[lo:hi, :lo]``, as
-    a GEMM in row chunks that stop at ``lo``, so no temporary grows to
-    N x N and the stored rows of folded states stay as they were.  The
-    cost is about 2N^3/3 flops, almost all of them in that GEMM.
+    state first receives, on its whole row and column, the pending
+    updates of the panel states folded before it, as two matrix-vector
+    products, so no outer product is formed.  The rest of the leading
+    block then takes the whole panel at once, ``A[:lo, :lo] += A[:lo,
+    lo:hi] @ A[lo:hi, :lo]``, as a GEMM in row chunks that stop at ``lo``,
+    so no temporary grows to N x N and the stored rows of folded states
+    stay as they were.  The cost is about 2N^3/3 flops, almost all of
+    them in that GEMM.
 
     Every pivot is a row sum and every update adds products of
     non-negative numbers, so nothing is ever subtracted.  Blocking only
     reorders the additions.
     """
-    _require_solvable(P)
-    A = P.dense()
-    hi = A.shape[0]
+    hi = A.shape[-1]
     while hi > 1:
         lo = max(1, hi - STATIONARY_PANEL)
         for k in range(hi - 1, lo - 1, -1):
-            A[k, :lo] += A[k, k + 1 : hi] @ A[k + 1 : hi, :lo]
-            A[:lo, k] += A[:lo, k + 1 : hi] @ A[k + 1 : hi, k]
-            A[k, k] = A[k, :k].sum()
-            A[:k, k] /= A[k, k]
-            A[lo:k, lo:k] += np.outer(A[lo:k, k], A[k, lo:k])
+            row, col = slice(k, k + 1), slice(k + 1, hi)  # state k, kept 2-D; the rest of the panel
+            A[..., row, :k] += A[..., row, col] @ A[..., col, :k]
+            A[..., :k, row] += A[..., :k, col] @ A[..., col, row]
+            A[..., k, k] = A[..., k, :k].sum(axis=-1)
+            A[..., :k, k] /= A[..., row, k]
         for r in range(0, lo, _GEMM_ROWS):
             rows = slice(r, min(r + _GEMM_ROWS, lo))
-            A[rows, :lo] += A[rows, lo:hi] @ A[lo:hi, :lo]
+            A[..., rows, :lo] += A[..., rows, lo:hi] @ A[..., lo:hi, :lo]
         hi = lo
     return A
 
@@ -492,7 +497,8 @@ def _grounded_factors(P: TransitionMatrix) -> tuple[functools.partial, Probabili
     Returns ``(solve, pi)``, with ``solve`` the ``solve_triangular`` of
     that array: ``unit_diagonal=True`` solves with U, ``lower=True`` with L.
     """
-    A = _state_reduction(P)
+    _require_solvable(P)
+    A = _state_reduction(P.dense())
     np.negative(A, out=A)
     np.fill_diagonal(A, -A.diagonal())
     A[0, 0] = 1.0
@@ -501,8 +507,9 @@ def _grounded_factors(P: TransitionMatrix) -> tuple[functools.partial, Probabili
 
 
 @np.errstate(all="ignore")  # a non-finite result is refused, not warned about
-def transport_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, float]:
-    """The per-target scan d @ M of a difference of laws, and its absolute error estimate.
+def transport_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-target scan d @ M of a difference of laws, and the absolute error
+    estimate of each of its scores.
 
     d goes through ``zero_sum`` first, as on the matrix route, and M is
     never formed.  A tridiagonal chain reads the scan off two cumulative
@@ -518,8 +525,8 @@ def transport_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, floa
 
     Every solve adds products of non-negative numbers, so the only
     cancellation is in the final difference, and eps times the sum of
-    the magnitudes that meet there estimates its error.  The estimate
-    leaves out the rounding of the triangular solves themselves, so it
+    the magnitudes that meet there estimates the error of each score.
+    The estimate leaves out the rounding of the triangular solves themselves, so it
     is not a bound: on the hypercube at d = 10 to 12, measured while that
     family still took this route, the error reached 2 to 4 times it.
     """
@@ -540,12 +547,11 @@ def transport_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, floa
     a, b = ab[:, 0], ab[:, 1]
     hp, hm = rhs[:, 0] @ h0, rhs[:, 1] @ h0
     per_target = (hp - hm) - (a - b)
-    err = float(EPS * ((a + b).max() + hp + hm))
-    return per_target, err
+    return per_target, EPS * ((a + b) + hp + hm)
 
 
-def _tridiagonal_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, float]:
-    """d @ M of a tridiagonal chain from its step times, in O(N), and its error estimate.
+def _tridiagonal_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d @ M of a tridiagonal chain from its step times, in O(N), and its error estimates.
 
     A walk between i and j crosses every edge between them, so with
     (up, down) = ``P.step_times``, C_k = sum_{i<=k} d_i and
@@ -554,7 +560,7 @@ def _tridiagonal_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, f
         (d @ M)_j = sum_{k<j} up_k C_k + sum_{k>=j} down_k T_k.
 
     The same two sums over |d| give, per target, the magnitudes that
-    meet in its score; the estimate is 4 eps times the largest.  It
+    meet in its score, and its estimate is 4 eps times that sum.  It
     leaves out the step times' own rounding, up to 3N u relative, so it
     estimates the error rather than bounding it, as on the dense route.
     """
@@ -569,11 +575,11 @@ def _tridiagonal_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, f
         out[:-1] += np.cumsum((down * tail)[::-1])[::-1]
         return out
 
-    return scan(d), float(4 * EPS * scan(np.abs(d)).max())
+    return scan(d), 4 * EPS * scan(np.abs(d))
 
 
-def _lumped_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, float]:
-    """d @ M of a walk that lumps by distance, and its error estimate, in O(N), or
+def _lumped_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d @ M of a walk that lumps by distance, and its error estimates, in O(N), or
     O(N log N) on the hypercube.
 
     E_i[tau_j] = F[dist(i, j)] with F the distance-chain times of j's
@@ -590,7 +596,7 @@ def _lumped_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, float]
     and C_j, the far sums.  To first order the subtraction, the product
     and the final difference round by at most 1.5 eps A_j, and the far
     sums by the entry's rounding count times eps C_j (an estimate, not a
-    bound, for the hypercube's butterflies); the largest sum is the
+    bound, for the hypercube's butterflies); their sum is the target's
     estimate.  It leaves out R's own rounding, within the 4 K eps relative
     of the lumped matrix's column bound, as the other routes leave out
     their solves' or step times' rounding.
@@ -601,8 +607,8 @@ def _lumped_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, float]
     top = np.repeat([R[0] for R in tails], np.diff(orbits + (P.size,)))  # R[0] per target
     s, magnitude = math.fsum(d.tolist()), np.abs(d)
     per_target = top * (s - d) - far(n, d, tails)
-    err = EPS * (1.5 * top * (abs(s) + magnitude) + roundings(n) * far(n, magnitude, tails)).max()
-    return per_target, float(err)
+    err = EPS * (1.5 * top * (abs(s) + magnitude) + roundings(n) * far(n, magnitude, tails))
+    return per_target, err
 
 
 @np.errstate(all="ignore")  # a non-finite result is refused, not warned about
@@ -616,9 +622,9 @@ def _grounded_matrix(P: TransitionMatrix) -> np.ndarray:
         M_ij = (G_jj - G_ij) / pi_j + h0_i - h0_j,    M_jj = 0,
 
     which is E_i[tau_j] written with the group inverse
-    (I - 1 pi^T) G (I - 1 pi^T).  It costs O(N^3) in all, with no LU; the
-    entries of G keep a small relative error, and the cancellation in M
-    is what ``_column_bounds`` certifies.
+    (I - 1 pi^T) G (I - 1 pi^T).  It costs O(N^3) in all; the entries of
+    G keep a small relative error, and the cancellation in M is what
+    ``_column_bounds`` certifies.
     """
     solve, pi = _grounded_factors(P)
     G = solve(np.eye(pi.dim), unit_diagonal=True)  # U^-1
@@ -636,22 +642,26 @@ def _grounded_matrix(P: TransitionMatrix) -> np.ndarray:
 def _column_bounds(P: TransitionMatrix, H: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """The residual certificate b of each column H[:, c], the column to ``targets[c]``.
 
-    L is the ``_first_step_matrix``.  For target j, L_j (L without row and
-    column j) is an M-matrix, so L_j^-1 >= 0 and L_j^-1 1 = h, the exact
-    column.  A computed column h' with h'_j = 0 and residual
-    r = 1 - L_j h' then satisfies |h' - h| = |L_j^-1 r| <= ||r||_inf h
-    entrywise.  The residual is read off two GEMMs, L H and |L| |H|, and
-    each row adds the rounding of its own residual, at most
-    (nnz_i + 2) eps (1 + (|L||H|)_ij) with nnz_i the non-zeros of row i
-    of L, read off the edge list: the off-diagonal out-edges of state i
-    and the diagonal, their positive sum on an irreducible chain.  So
+    L is the first-step matrix, L_ik = -p_ik and L_ii = sum_{k != i} p_ik
+    (never 1 - p_ii).  For target j, L_j (L without row and column j) is
+    an M-matrix, so L_j^-1 >= 0 and L_j^-1 1 = h, the exact column.  A
+    computed column h' with h'_j = 0 and residual r = 1 - L_j h' then
+    satisfies |h' - h| = |L_j^-1 r| <= ||r||_inf h entrywise.  The
+    residual is read off two GEMMs, L H and |L| |H|, and each row adds
+    the rounding of its own residual, at most (nnz_i + 2) eps (1 +
+    (|L||H|)_ij) with nnz_i the non-zeros of row i of L, read off the
+    edge list: the off-diagonal out-edges of state i and the diagonal,
+    their positive sum on an irreducible chain.  So
 
         b_j = max_{i != j} |1 - (L H)_ij| + (nnz_i + 2) eps (1 + (|L||H|)_ij)
 
     bounds the relative error of every entry of the column.  A column
     with a non-finite entry gets a NaN or infinite bound.
     """
-    L = _first_step_matrix(P)
+    L = P.dense()
+    np.negative(L, out=L)
+    np.fill_diagonal(L, 0.0)
+    np.fill_diagonal(L, -L.sum(axis=1))
     b = L @ H
     np.subtract(1.0, b, out=b)
     np.abs(b, out=b)

@@ -289,17 +289,17 @@ def test_dense_routes_build_their_arrays_from_the_edges(monkeypatch):
     chain = build_chain(ChainSpec("graph", edges=edges))
     built = []
     dense = TransitionMatrix.dense
-    monkeypatch.setattr(TransitionMatrix, "dense", lambda self, *order: built.append(order)
-                        or dense(self, *order))
+    monkeypatch.setattr(TransitionMatrix, "dense", lambda self: built.append(self) or dense(self))
     scans = _count_row_scans(monkeypatch, chain.size)
     assert validate_chain(chain).irreducible  # the degree law: no dense array
     M = hitting_time_matrix(chain)  # the one-reduction matrix and its certificate
-    hitting_time_to(chain, 3)  # the per-target LU
+    h = hitting_time_to(chain, 3)  # the rooted reduction, its array written from the edges
     simulate_rule(chain, dirac(1, 7), dirac(2, 7), samples=1000, seed=0, hitting=M)
     access_time(chain, dirac(1, 7), dirac(2, 7))  # the transport scan's state reduction
-    # the matrix's state reduction, the certificate's first-step matrix, the
-    # LU's in Fortran order and the scan's state reduction
-    assert built == [(), ("C",), ("F",), ()]
+    # the matrix's state reduction, the certificate's first-step matrix and the
+    # scan's state reduction
+    assert built == [chain] * 3
+    np.testing.assert_allclose(h, M.values[:, 3], rtol=1e-12)
     # each dense route writes its own working array from the edges: no scan, no cached view
     assert scans == [] and "rows" not in vars(chain)
     TransitionMatrix(chain.rows)  # a hand-built matrix is scanned once, into its edges

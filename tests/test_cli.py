@@ -635,7 +635,8 @@ def test_a_short_state_count_is_printed_in_full(capsys):
 def test_out_check_leaves_an_existing_file_as_it_was(capsys, monkeypatch, tmp_path):
     out = tmp_path / "x.csv"
     out.write_text("kept\n")
-    fail = mock.Mock(side_effect=np.linalg.LinAlgError("singular first-step system"))
+    refusal = np.linalg.LinAlgError("hitting times of target 0 exceed the float range")
+    fail = mock.Mock(side_effect=refusal)
     monkeypatch.setattr("access_time.cli.hitting_time_to", fail)
     code, _, _ = run_cli(capsys, "scale", "--families", "path", "--n", "2", "--out", str(out))
     assert code == 3 and fail.called and out.read_text() == "kept\n"

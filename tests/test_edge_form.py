@@ -70,17 +70,15 @@ def test_family_view_matches_the_dense_matrix(spec):
     assert chain.row_sum_residual <= 1e-15 * chain.size
 
 
-@pytest.mark.parametrize("N", [1, 2, 127, 128, 129, 300])
-def test_dense_arrays_in_either_memory_order(N):
-    """``dense("F")`` transposes in place tile by tile; every tile edge case included."""
+@pytest.mark.parametrize("N", [1, 2, 129])
+def test_dense_array_is_a_fresh_copy_of_the_rates(N):
     rows = np.random.default_rng(N).random((N, N)) * (np.random.default_rng(0).random((N, N)) < 0.3)
     rows[np.arange(N), np.arange(N)] += 1.0
     rows /= rows.sum(axis=1)[:, None]
     chain = TransitionMatrix(rows)
-    for order in "CF":
-        A = chain.dense(order)
-        assert A.flags[f"{order}_CONTIGUOUS"] and A.flags.writeable
-        assert np.array_equal(A, rows) and A.tobytes(order="C") == rows.tobytes()
+    A = chain.dense()
+    assert A.flags.c_contiguous and A.flags.writeable and A is not chain.dense()
+    assert np.array_equal(A, rows)
 
 
 @pytest.mark.parametrize(

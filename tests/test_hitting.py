@@ -326,7 +326,7 @@ def test_state_reduction_keeps_every_folded_row_and_column(panel, chunk, monkeyp
         build_chain(ChainSpec("graph", edges=random_connected_graph(41, rng, extra_edges=30))),
         doubly_stochastic_chain(43, rng),
     ):
-        A, ref = hitting._state_reduction(chain), unblocked_reduction(chain.rows)
+        A, ref = hitting._state_reduction(chain.dense()), unblocked_reduction(chain.rows)
         for k in range(1, chain.size):
             np.testing.assert_allclose(A[k, :k], ref[k, :k], rtol=1e-13)
             np.testing.assert_allclose(A[:k, k], ref[:k, k], rtol=1e-13)
@@ -341,7 +341,7 @@ def test_state_reduction_keeps_each_pivot_on_the_diagonal(panel, chunk, monkeypa
         build_chain(ChainSpec("graph", edges=random_connected_graph(41, rng, extra_edges=30))),
         doubly_stochastic_chain(43, rng),
     ):
-        A = hitting._state_reduction(chain)
+        A = hitting._state_reduction(chain.dense())
         for k in range(1, chain.size):
             assert A[k, k] == A[k, :k].sum() > 0.0
 
@@ -521,7 +521,8 @@ def test_reducible_chain_refused_by_every_solve():
 
 
 def dense_reference_column(P, target):
-    """The dense per-target first-step solve, verbatim, as the wide route's reference."""
+    """The first-step system of one target by partial-pivoted LU, an independent
+    reference on chains whose rates are not stiff."""
     A = np.negative(P.rows, order="F")
     np.fill_diagonal(A, 0.0)
     np.fill_diagonal(A, -A.sum(axis=1))
@@ -553,7 +554,8 @@ def test_banded_graph_matches_dense_route(reach):
     columns = np.column_stack([hitting_time_to(chain, target) for target in range(N)])
     assert np.all(np.diag(columns) == 0.0)
     for target in range(N):
-        np.testing.assert_array_equal(columns[:, target], dense_reference_column(chain, target))
+        np.testing.assert_allclose(columns[:, target], dense_reference_column(chain, target),
+                                   rtol=1e-12)
     refuse = mock.Mock(side_effect=AssertionError("per-target solve on a certified chain"))
     with mock.patch.object(hitting, "hitting_time_to", refuse):
         M = hitting_time_matrix(chain)
@@ -562,8 +564,10 @@ def test_banded_graph_matches_dense_route(reach):
 
 
 def test_banded_chains_never_factor_densely(capsys, tmp_path):
-    refuse = mock.Mock(side_effect=AssertionError("dense LU on a banded chain"))
-    with mock.patch.object(hitting, "dgetrf", refuse):
+    refuse = mock.Mock(side_effect=AssertionError("dense reduction on a banded chain"))
+    with mock.patch.object(hitting, "_rooted_columns", refuse), mock.patch.object(
+        hitting, "_state_reduction", refuse
+    ):
         assert main(["bounds", "--chain", '{"family":"path","n":512}']) == 0
         assert json.loads(capsys.readouterr().out)["argmax_pair"] == [0, 512]
         out = tmp_path / "sweep.csv"
@@ -598,7 +602,7 @@ def test_wide_chains_take_the_certified_one_reduction_route():
     assert not on_tridiagonal_route(chain) and chain.family not in hitting.LUMPINGS
     refuse = mock.Mock(side_effect=AssertionError("per-target solve on a certified chain"))
     with mock.patch.object(hitting, "hitting_time_to", refuse), mock.patch.object(
-        hitting, "dgetrf", refuse
+        hitting, "_rooted_columns", refuse
     ), mock.patch.object(hitting, "_state_reduction", wraps=hitting._state_reduction) as reduce:
         M = hitting_time_matrix(chain)
     assert reduce.call_count == 1
@@ -610,17 +614,40 @@ def test_wide_chains_take_the_certified_one_reduction_route():
 
 def test_refused_columns_fall_back_to_the_per_target_solve():
     # entries reach 2**40, so the rounding of the residual alone refuses
-    # 25 of the 40 columns; the per-target LU gets them exactly, and so
+    # 25 of the 40 columns; the rooted reductions get them exactly, and so
     # does the one reduction: the certificate refuses them, not an error
     chain = build_chain(ChainSpec("winning_streak", n=40))
     assert np.array_equal(hitting._grounded_matrix(chain), winning_streak_hitting_formula(40))
-    with mock.patch.object(hitting, "hitting_time_to", wraps=hitting.hitting_time_to) as column:
+    with mock.patch.object(
+        hitting, "_rooted_columns", wraps=hitting._rooted_columns
+    ) as rooted, mock.patch.object(
+        hitting, "_state_reduction", wraps=hitting._state_reduction
+    ) as reduce:
         M = hitting_time_matrix(chain)
-    refused = [call.args[1] for call in column.call_args_list]
+    (call,) = rooted.call_args_list
+    refused = call.args[1]
     assert len(refused) == 25
+    assert reduce.call_count == 2  # the one reduction, then one stack of the refused targets
     assert np.all(M.column_bound[refused] > hitting.CERT_GATE)
     assert np.isfinite(M.column_bound).all()
     np.testing.assert_array_equal(M.values, winning_streak_hitting_formula(40))
+    for j in refused:
+        assert np.array_equal(hitting_time_to(chain, j), M.values[:, j])
+
+
+@pytest.mark.parametrize("panel, chunk", [(3, 2), (64, 256)])
+def test_a_stack_reduces_as_each_of_its_arrays(panel, chunk, monkeypatch, rng):
+    monkeypatch.setattr(hitting, "STATIONARY_PANEL", panel)
+    monkeypatch.setattr(hitting, "_GEMM_ROWS", chunk)
+    chain = build_chain(ChainSpec("graph", edges=random_connected_graph(23, rng, extra_edges=30)))
+    stack = np.stack([chain.dense(), doubly_stochastic_chain(23, rng).dense()])
+    alone = [hitting._state_reduction(A.copy()) for A in stack]
+    reduced = hitting._state_reduction(stack)
+    # bit for bit, so a column of a stack is the column of a stack of one
+    for A, B in zip(reduced, alone):
+        assert np.array_equal(A, B)
+    for h, A in zip(hitting._times_to_root(reduced), alone):
+        assert np.array_equal(h, hitting._times_to_root(A))
 
 
 @pytest.mark.parametrize(

@@ -47,11 +47,11 @@ def _ids(specs):
 
 @contextlib.contextmanager
 def dense_routes_refused():
-    """The state reduction, the dense LU and any dense working array raise inside;
-    yields the mock that records a call of any of them."""
+    """The state reduction, grounded or rooted, and any dense working array raise
+    inside; yields the mock that records a call of any of them."""
     refuse = mock.Mock(side_effect=AssertionError("dense route on a lumped walk"))
     with mock.patch.object(hitting, "_state_reduction", refuse), mock.patch.object(
-        hitting, "dgetrf", refuse
+        hitting, "_rooted_columns", refuse
     ), mock.patch.object(TransitionMatrix, "dense", refuse):
         yield refuse
 
@@ -176,14 +176,14 @@ def test_lumped_scan_matches_exact_scores_within_its_estimate(spec):
         assert not refuse.called
         d = [Fraction(x) for x in zero_sum(mu.weights - nu.weights).tolist()]
         s = abs(sum(d))
-        for score, R, (dist, F) in zip(scores.tolist(), read, chains):
-            # the scan's own arithmetic, on the times it read, is within the estimate
-            assert abs(Fraction(score) - sum(x * (R[0] - R[k]) for x, k in zip(d, dist))) <= err
+        for score, e, R, (dist, F) in zip(scores.tolist(), err.tolist(), read, chains):
+            # the scan's own arithmetic, on the times it read, is within the target's estimate
+            assert abs(Fraction(score) - sum(x * (R[0] - R[k]) for x, k in zip(d, dist))) <= e
             # the times' own rounding adds at most the lumped column bound, 4 K eps, relative
             # to the magnitudes R_0 |s| + sum_i |d_i| R_dist(i,j) that meet in the score
             exact = sum(x * F[k] for x, k in zip(d, dist))
             scale = (F[-1] - F[0]) * s + sum(abs(x) * (F[-1] - F[k]) for x, k in zip(d, dist))
-            assert abs(Fraction(score) - exact) <= err + 4 * len(F) * Fraction(EPS) * scale
+            assert abs(Fraction(score) - exact) <= e + 4 * len(F) * Fraction(EPS) * scale
 
 
 @pytest.mark.parametrize("argv", [
@@ -211,6 +211,29 @@ def test_compute_and_gen_never_reach_the_state_reduction(argv, capsys):
     elif "family_report" in out:
         report = out["family_report"]
         assert report["discrepancy"] <= 1e-12 * max(1.0, abs(out["value"]))
+
+
+def test_a_scan_is_gated_on_its_maximum_not_on_a_far_lower_score(capsys):
+    # the source leaf's own score, about -8188, has an estimate of 2.7e-12, past
+    # the 2e-12 gate of a value near 2; the maximum's own is 6.7e-16, so the scan
+    # stands and the 4096 x 4096 lumped matrix is never built
+    argv = ["compute", "--chain", '{"family":"star","n":4095}', "--mu", "dirac:1",
+            "--nu", "uniform", "--closed-form"]
+    refuse = mock.Mock(side_effect=AssertionError("lumped matrix built"))
+    with mock.patch.object(hitting, "_lumped_matrix", refuse):
+        assert main(argv) == 0
+    assert not refuse.called
+    out = json.loads(capsys.readouterr().out)
+    report = out["family_report"]
+    # a leaf walks to the centre in one step and from there to a uniform leaf
+    assert report["exact"] == out["value"] == pytest.approx(2.0 - 1.0 / 4096, rel=1e-15)
+    assert report["discrepancy"] == 0.0
+    chain = build_chain(ChainSpec("star", n=4095))
+    mu, nu = dirac(1, chain.size), ProbabilityVector(np.full(chain.size, 1 / chain.size))
+    scores, err = transport_scan(chain, mu.weights - nu.weights)
+    assert err[1] > access.SCAN_GATE * 2.0 > err[scores.argmax()]
+    result = access_time(chain, mu, nu)
+    assert result.route == "scan" and result.error_bound <= 1e-15
 
 
 def test_a_refused_lumped_scan_falls_back_to_the_lumped_matrix(rng):

@@ -44,7 +44,6 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 ROW_SUM_HARD_TOL = 1e-9
 
@@ -381,10 +380,12 @@ class TransitionMatrix:
         return np.searchsorted(src, np.arange(self.size + 1, dtype=_index_dtype(self.size + 1)))
 
     @cached_property
-    def _csr(self) -> csr_matrix:
+    def _csr(self) -> "scipy.sparse.csr_matrix":
         """The chain as the CSR matrix ``scipy.sparse`` and its graph routines read,
         over the stored arrays, not a copy of them.  The graph routines read the
         pattern alone (the rates, all positive, are not weights to them)."""
+        from scipy.sparse import csr_matrix  # start-up loads no SciPy
+
         return csr_matrix((self.rate, self._edges[1], self._row_starts), shape=(self.size,) * 2)
 
     def diagonal(self, offset: int) -> np.ndarray:
@@ -599,6 +600,7 @@ def _graph(spec: ChainSpec):
     src, dst = np.concatenate([u, v]), np.concatenate([v, u])
     order = np.lexsort((dst, src))
     src, dst = src[order], dst[order]
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     adj = csr_matrix((np.ones(src.size), (src, dst)), shape=(N, N))

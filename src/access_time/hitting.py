@@ -13,11 +13,11 @@ chain takes its route off its edge list, in this order:
    column with K distances, one such chain per orbit of targets for the
    matrix, and the scan's class sums by distance (``chains.LUMPED_SCANS``)
    in O(N), or O(N log N) on the hypercube;
-3. on every other chain, each call of ``transport_scan`` or
-   ``hitting_time_matrix`` reduces the dense rows once, O(N^3), and reads
-   the factored result by triangular solves alone; a column of
-   ``hitting_time_to``, or one the matrix's certificate refuses, is read
-   off the same reduction rooted at its target.
+3. on every other chain, each hitting column is read off the state
+   reduction of the dense rows rooted at its target, which subtracts
+   nothing: O(N^3) a column, and O(N^3) for the whole matrix, whose
+   targets share their folds by recursive halving.  ``transport_scan``
+   reduces the rows once and reads the result by triangular solves alone.
    ``stationary_distribution`` reduces them too, except on a walk on an
    undirected graph (``chains.GRAPH_WALK_FAMILIES``, ``graph`` included),
    which reads pi_i = deg_i / sum deg off its degrees, in O(N).
@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .chains import (
     GRAPH_WALK_FAMILIES,
@@ -68,13 +67,9 @@ _GEMM_ROWS = 256
 #: mantissa ratios, each in (1/2, 2), per running product of the
 #: detailed-balance law: 2^512 is far inside the float range
 _BALANCE_BLOCK = 512
-#: a column of the one-reduction hitting matrix whose certificate exceeds
-#: this is solved again per target; a decade inside the 1e-9 tolerance of
-#: the closed-form checks, where 1e-12 would refuse every column of a walk
-#: on the complete graph (given as a ``graph``) at N = 129 on rounding alone
-CERT_GATE = 1e-10
-#: entries per stack of rooted arrays: one array per stack past 362 states
-_ROOTED_ENTRIES = 1 << 17
+#: a dense hitting matrix of at most this many states is one stack of rooted
+#: reductions, one per target; a larger one is halved (``_dense_matrix``)
+_LEAF_STATES = 48
 
 EPS = np.finfo(float).eps
 
@@ -105,10 +100,11 @@ class HittingTimeMatrix:
 
     ``column_bound[j]`` bounds the relative error of column j: every
     entry satisfies |values[i, j] - E_i[tau_j]| <= column_bound[j] E_i[tau_j].
-    ``hitting_time_matrix`` always sets it, to the first-step residual
-    certificate or, on a tridiagonal chain or a lumped walk, to the a
-    priori bound of the step-time recurrence; it is None only for a table
-    built by hand, and no command prints it.
+    ``hitting_time_matrix`` always sets it, to the a priori bound of the
+    step-time recurrence on a tridiagonal chain or a lumped walk, and to
+    the first-step residual certificate, which gates nothing, on every
+    other chain; it is None only for a table built by hand, and no
+    command prints it.
     """
 
     values: np.ndarray
@@ -182,7 +178,7 @@ def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
     either: E_i[tau_j] depends only on the distance of i to j, and the
     distance follows a tridiagonal chain whose step times give the
     column, in O(N + K deg) with K distances.  Every other chain takes
-    ``_rooted_columns``, in O(N^3).  A column that is not finite, from an
+    ``_rooted_column``, in O(N^3).  A column that is not finite, from an
     overflowing time or a pivot that underflows to 0, raises
     ``LinAlgError``: the target's hitting times exceed the float range.
 
@@ -207,7 +203,7 @@ def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
     elif P.family in LUMPINGS:
         h = _lumped_column(P, target)
     else:
-        h = _rooted_columns(P, np.array([target]))[:, 0]
+        h = _rooted_column(P, target)
     _refuse_non_finite(h[:, None], (target,))
     return h
 
@@ -290,26 +286,14 @@ def _lumped_matrix(P: TransitionMatrix) -> tuple[np.ndarray, np.ndarray]:
     return values, bound
 
 
-def _rooted_columns(P: TransitionMatrix, targets: np.ndarray) -> np.ndarray:
-    """The hitting columns to ``targets``, each off the state reduction rooted at it.
-
-    Each target's array is written from the edges with the target moved to
-    state 0; ``_state_reduction`` folds up to ``_ROOTED_ENTRIES`` entries of
-    them as one stack, paying its per-state loop once, and the column is
-    E_i[tau_0] of the relabelled chain.  Nothing is subtracted, so each
-    entry keeps a small relative error however stiff the rates.
-    """
+def _rooted_column(P: TransitionMatrix, target: int) -> np.ndarray:
+    """The hitting column to ``target``: E_i[tau_0] off the state reduction of the
+    chain's array written from the edges with the target moved to state 0."""
     N, (src, dst) = P.size, P._edges
-    batch, stacks = max(1, _ROOTED_ENTRIES // (N * N)), []
-    for lo in range(0, targets.size, batch):
-        roots = targets[lo : lo + batch, None]
-        A = np.zeros((roots.size, N, N))
-        A[np.arange(roots.size)[:, None], _rooted(src, roots), _rooted(dst, roots)] = P.rate
-        h = _times_to_root(_state_reduction(A))  # relabelled: state i at _rooted(i, root)
-        stacks.append(np.take_along_axis(h, _rooted(np.arange(N), roots), axis=1))
-    columns = np.concatenate(stacks).T
-    _refuse_non_finite(columns, targets)
-    return columns
+    A = np.zeros((N, N))
+    A[_rooted(src, target), _rooted(dst, target)] = P.rate
+    h = _times_to_root(_state_reduction(A), np.ones(N))  # relabelled: state i at _rooted(i, target)
+    return h[_rooted(np.arange(N), target)]
 
 
 def _rooted(states: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -318,12 +302,13 @@ def _rooted(states: np.ndarray, roots: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(all="ignore")  # a zero pivot gives a non-finite time, which is refused
-def _times_to_root(A: np.ndarray) -> np.ndarray:
-    """E_i[tau_0] off an array, or a stack, reduced by ``_state_reduction``: h =
-    L^-1 U^-1 1 in the factors of ``_grounded_factors``, read as x_i = 1 + sum_{k>i}
-    a_ik x_k upward, then x_0 = 0 and h_k = (x_k + sum_{j<k} a_kj h_j) / a_kk downward."""
+def _times_to_root(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """E_i[tau_0] off an array, or a stack, reduced by ``_state_reduction``, when a
+    step from state i takes c_i steps on average: h = L^-1 U^-1 c in the factors of
+    ``_grounded_factors``, read as x_i = c_i + sum_{k>i} a_ik x_k upward, then x_0 = 0
+    and h_k = (x_k + sum_{j<k} a_kj h_j) / a_kk downward."""
     N = A.shape[-1]
-    h = np.ones(A.shape[:-1])
+    h = c.copy()
     for i in range(N - 2, -1, -1):
         h[..., i] += np.einsum("...k,...k", A[..., i, i + 1 :], h[..., i + 1 :])
     h[..., 0] = 0.0
@@ -350,12 +335,10 @@ def hitting_time_matrix(P: TransitionMatrix) -> HittingTimeMatrix:
     distances, (4K - 7) u, and the correctly rounded rate sums, each
     carried into the step times as at most two relative roundings per
     step, (2K - 3) u: (6K - 10) u to first order.  Every other chain
-    takes ``_grounded_matrix``, O(N^3) from one state reduction, and
-    ``_column_bounds`` certifies each column j with a relative error
-    bound b_j.  The columns with b_j > ``CERT_GATE``, or with a
-    non-finite entry, are solved again by one ``_rooted_columns`` and
-    certified again, so each is exactly the column of ``hitting_time_to``;
-    its bound is kept whether or not it now passes the gate.
+    takes ``_dense_matrix``, O(N^3), each column a subtraction-free
+    reduction rooted at its target, with the residual certificate of
+    ``_column_bounds`` as its bound, which gates nothing.  A column that
+    is not finite raises ``LinAlgError`` naming its target.
     """
     _require_solvable(P)
     N = P.size
@@ -367,26 +350,61 @@ def hitting_time_matrix(P: TransitionMatrix) -> HittingTimeMatrix:
     if P.family in LUMPINGS:
         values, bound = _lumped_matrix(P)
         return HittingTimeMatrix(values, P.labels, column_bound=bound)
-    values = _grounded_matrix(P)
-    bound = _column_bounds(P, values, np.arange(N))
-    refused = np.flatnonzero(~(bound <= CERT_GATE))  # a NaN bound compares false
-    if refused.size:
-        values[:, refused] = _rooted_columns(P, refused)
-        bound[refused] = _column_bounds(P, values[:, refused], refused)
-    return HittingTimeMatrix(values=values, labels=P.labels, column_bound=bound)
+    values = _dense_matrix(P.dense(), np.ones(N))
+    _refuse_non_finite(values, range(N))
+    return HittingTimeMatrix(values, P.labels, column_bound=_column_bounds(P, values))
+
+
+@np.errstate(all="ignore")  # a zero pivot gives a non-finite time, which is refused
+def _dense_matrix(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """All-pairs hitting times of the chain of rates ``A`` (diagonal unread) when a
+    step from state i takes c_i steps on average, in O(N^3).
+
+    Up to ``_LEAF_STATES`` states, one stack holds the reduction rooted at
+    each target, as in ``hitting_time_to``.  More states are halved, and
+    each half L in turn is ordered first and the other half F last:
+    ``_state_reduction`` folds F out, stopping at L, so A[L, L] is the
+    chain watched on L; x_F = U_FF^-1 c_F is the time spent in F, so
+    c_L + A[L, F] x_F counts the steps per step of the watched chain, whose
+    times H_LL this function gives; then H_FL = L_FF^-1 (x_F 1^T + A[F, L]
+    H_LL), with U_FF and L_FF the factors of ``_grounded_factors`` on F.
+    Each column is a rooted reduction in another elimination order: only
+    the order of non-negative additions changes.
+    """
+    m = A.shape[0]
+    if m <= _LEAF_STATES:
+        roots, states = np.arange(m)[:, None], np.arange(m)
+        order = np.where(states == 0, roots, states - (states <= roots))  # rooted at roots[r]
+        h = _times_to_root(_state_reduction(A[order[:, :, None], order[:, None, :]]), c[order])
+        return np.take_along_axis(h, _rooted(states, roots), axis=1).T
+    from scipy.linalg.blas import dtrsm
+
+    H = np.empty((m, m))
+    halves = (slice(0, m // 2), slice(m // 2, m))
+    for live, folded in (halves, halves[::-1]):
+        order = np.r_[live, folded]
+        k = live.stop - live.start
+        B = _state_reduction(A[np.ix_(order, order)], stop=k)
+        T = -B[k:, k:]  # U_FF above the diagonal, L_FF on and below it
+        np.fill_diagonal(T, B.diagonal()[k:])
+        x = dtrsm(1.0, T, c[folded, None], diag=1)
+        H[live, live] = _dense_matrix(B[:k, :k], c[live] + B[:k, k:] @ x[:, 0])
+        H[folded, live] = dtrsm(1.0, T, x + B[k:, :k] @ H[live, live], lower=1)
+    return H
 
 
 @np.errstate(all="ignore")  # a zero pivot gives a non-finite result, which is refused
-def _state_reduction(A: np.ndarray) -> np.ndarray:
+def _state_reduction(A: np.ndarray, stop: int = 1) -> np.ndarray:
     """Blocked Grassmann-Taksar-Heyman reduction, in place, of the rates ``A`` of a
     chain, or of a stack of them (``A[b]`` each) with every step over the stack.
 
-    Fold state k into states 0..k-1 for k = N-1 down to 1: divide column
+    Fold state k into states 0..k-1 for k = N-1 down to ``stop``: divide column
     k by its pivot, the row sum sum_{j<k} a_kj, then add the outer
     product of column k and row k to the leading block.  The returned
     array keeps, for every k, the row of state k as it was folded in
     ``A[k, :k]``, its pivot in ``A[k, k]`` and the divided column in
-    ``A[:k, k]``: the factored form of ``_grounded_factors``.
+    ``A[:k, k]``: the factored form of ``_grounded_factors``; off its
+    diagonal, ``A[:stop, :stop]`` is the chain watched on 0..stop-1.
 
     States fold in panels of ``STATIONARY_PANEL``.  Inside a panel, each
     state first receives, on its whole row and column, the pending
@@ -403,8 +421,8 @@ def _state_reduction(A: np.ndarray) -> np.ndarray:
     reorders the additions.
     """
     hi = A.shape[-1]
-    while hi > 1:
-        lo = max(1, hi - STATIONARY_PANEL)
+    while hi > stop:
+        lo = max(stop, hi - STATIONARY_PANEL)
         for k in range(hi - 1, lo - 1, -1):
             row, col = slice(k, k + 1), slice(k + 1, hi)  # state k, kept 2-D; the rest of the panel
             A[..., row, :k] += A[..., row, col] @ A[..., col, :k]
@@ -496,14 +514,21 @@ def _grounded_factors(P: TransitionMatrix) -> tuple[functools.partial, Probabili
     non-negative numbers over pivots, so no solve ever subtracts.
     Returns ``(solve, pi)``, with ``solve`` the ``solve_triangular`` of
     that array: ``unit_diagonal=True`` solves with U, ``lower=True`` with L.
+    An x past the float range (pi_0 that far below another weight) raises
+    ``LinAlgError``.
     """
+    from scipy.linalg import solve_triangular
+
     _require_solvable(P)
     A = _state_reduction(P.dense())
     np.negative(A, out=A)
     np.fill_diagonal(A, -A.diagonal())
     A[0, 0] = 1.0
     solve = functools.partial(solve_triangular, A, check_finite=False)
-    return solve, ProbabilityVector(solve(np.eye(1, A.shape[0])[0], trans="T", unit_diagonal=True))
+    x = solve(np.eye(1, A.shape[0])[0], trans="T", unit_diagonal=True)
+    if not np.isfinite(x).all():
+        raise np.linalg.LinAlgError("the stationary law's weights exceed the float range")
+    return solve, ProbabilityVector(x)
 
 
 @np.errstate(all="ignore")  # a non-finite result is refused, not warned about
@@ -612,35 +637,8 @@ def _lumped_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 @np.errstate(all="ignore")  # a non-finite result is refused, not warned about
-def _grounded_matrix(P: TransitionMatrix) -> np.ndarray:
-    """All-pairs hitting times from one state reduction, by Kemeny-Snell.
-
-    G = L'^-1 = L^-1 U^-1, grounded at state 0 and padded with a zero
-    row and column 0, takes two triangular solves with N right-hand
-    sides on the factors of ``_grounded_factors``; then h0 = G 1 and
-
-        M_ij = (G_jj - G_ij) / pi_j + h0_i - h0_j,    M_jj = 0,
-
-    which is E_i[tau_j] written with the group inverse
-    (I - 1 pi^T) G (I - 1 pi^T).  It costs O(N^3) in all; the entries of
-    G keep a small relative error, and the cancellation in M is what
-    ``_column_bounds`` certifies.
-    """
-    solve, pi = _grounded_factors(P)
-    G = solve(np.eye(pi.dim), unit_diagonal=True)  # U^-1
-    G[0] = 0.0
-    G = solve(G, lower=True, overwrite_b=True)
-    h0 = G.sum(axis=1)
-    M = np.subtract(G.diagonal().copy(), G, out=G)  # G_jj - G_ij
-    M /= pi.weights
-    M += h0[:, None] - h0
-    np.fill_diagonal(M, 0.0)
-    return M
-
-
-@np.errstate(all="ignore")  # a non-finite result is refused, not warned about
-def _column_bounds(P: TransitionMatrix, H: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """The residual certificate b of each column H[:, c], the column to ``targets[c]``.
+def _column_bounds(P: TransitionMatrix, H: np.ndarray) -> np.ndarray:
+    """The residual certificate b_j of each column H[:, j] of a full table.
 
     L is the first-step matrix, L_ik = -p_ik and L_ii = sum_{k != i} p_ik
     (never 1 - p_ii).  For target j, L_j (L without row and column j) is
@@ -655,8 +653,7 @@ def _column_bounds(P: TransitionMatrix, H: np.ndarray, targets: np.ndarray) -> n
 
         b_j = max_{i != j} |1 - (L H)_ij| + (nnz_i + 2) eps (1 + (|L||H|)_ij)
 
-    bounds the relative error of every entry of the column.  A column
-    with a non-finite entry gets a NaN or infinite bound.
+    bounds the relative error of every entry of the column.
     """
     L = P.dense()
     np.negative(L, out=L)
@@ -670,7 +667,7 @@ def _column_bounds(P: TransitionMatrix, H: np.ndarray, targets: np.ndarray) -> n
     src, dst = P._edges
     rounding *= (np.bincount(src[src != dst], minlength=P.size)[:, None] + 3) * EPS
     b += rounding
-    b[targets, np.arange(targets.size)] = 0.0
+    np.fill_diagonal(b, 0.0)
     return b.max(axis=0)
 
 

@@ -1,14 +1,18 @@
-"""Property test: the column certificate of the hitting matrix against exact elimination.
+"""Property test: the dense hitting matrix and its certificate against exact elimination.
 
-On the stiff dyadic chains of ``test_stationary_property``, the bound
-b_j that ``_column_bounds`` reads off the one-reduction matrix must
-cover each column's true error.  Cycle arcs make every chain of three or
-more states wide, so ``hitting_time_matrix`` takes that route, and its
-bound must hold before the fallback and after it; every refused column
-must be the per-target solve, bit for bit, and keep a finite bound.  The
-two-state chains are tridiagonal and must meet the a priori bound of the
-step-time recurrence.
+On the stiff dyadic chains of ``test_stationary_property``, cycle arcs
+make every chain of three or more states wide, so ``hitting_time_matrix``
+takes the rooted state reduction.  At these sizes the table is one stack
+of rooted reductions, so each column must be ``hitting_time_to``'s, bit
+for bit.  With the leaf bound forced down to 2, the recursive halving
+runs at every size, and every entry must still be within N^2 eps of the
+exact time.  Either way the residual certificate b_j that
+``_column_bounds`` reads off the table must be finite and cover each
+column's true error.  The two-state chains are tridiagonal and must meet
+the a priori bound of the step-time recurrence.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,7 @@ from hypothesis import given, settings
 from access_time import TransitionMatrix, hitting, hitting_time_matrix, hitting_time_to
 from oracles import fraction_hitting_matrix
 from test_hitting import assert_within_column_bounds
+from test_solver_refusals import assert_exact_columns
 from test_stationary_property import stiff_sparse_chains
 
 
@@ -27,23 +32,17 @@ def test_certificate_covers_every_column(rows):
     chain = TransitionMatrix(rows)
     N = chain.size
     exact = fraction_hitting_matrix(rows)
-    raw = hitting._grounded_matrix(chain)
-    raw_bound = hitting._column_bounds(chain, raw, np.arange(N))
-    assert_within_column_bounds(raw, exact, raw_bound)
+    M = hitting_time_matrix(chain)
+    assert_within_column_bounds(M.values, exact, M.column_bound)
     if max(chain.bandwidth) <= 1:  # the step-time recurrence
-        M = hitting_time_matrix(chain)
         assert np.array_equal(M.column_bound, np.full(N, 3 * N * hitting.EPS))
-        assert_within_column_bounds(M.values, exact, M.column_bound)
         return
 
-    refused = np.flatnonzero(~(raw_bound <= hitting.CERT_GATE))
-    columns = {j: hitting_time_to(chain, j) for j in refused}
-    M = hitting_time_matrix(chain)
-    for j in range(N):
-        if j in columns:
-            assert np.array_equal(M.values[:, j], columns[j])
-        else:
-            assert np.array_equal(M.values[:, j], raw[:, j])
-            assert M.column_bound[j] == raw_bound[j]
     assert np.isfinite(M.column_bound).all()
-    assert_within_column_bounds(M.values, exact, M.column_bound)
+    columns = np.column_stack([hitting_time_to(chain, j) for j in range(N)])
+    assert N <= hitting._LEAF_STATES and np.array_equal(M.values, columns)
+    with mock.patch.object(hitting, "_LEAF_STATES", 2):
+        halved = hitting_time_matrix(chain)
+    assert_exact_columns(rows, halved.values)
+    assert np.isfinite(halved.column_bound).all()
+    assert_within_column_bounds(halved.values, exact, halved.column_bound)

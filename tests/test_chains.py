@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.sparse import csr_matrix
 
 from access_time import (
@@ -269,7 +270,7 @@ def test_one_sparsity_pass_serves_scc_and_bandwidth(monkeypatch):
         built.append(args)
         return csr_matrix(*args, **kwargs)
 
-    monkeypatch.setattr(chains, "csr_matrix", counting)
+    monkeypatch.setattr(scipy.sparse, "csr_matrix", counting)
     chain = build_chain(ChainSpec("path", n=6))
     scans = _count_row_scans(monkeypatch, chain.size)
     assert chain.strong_components == 1 and chain.bandwidth == (1, 1)

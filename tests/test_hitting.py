@@ -556,18 +556,18 @@ def test_banded_graph_matches_dense_route(reach):
     for target in range(N):
         np.testing.assert_allclose(columns[:, target], dense_reference_column(chain, target),
                                    rtol=1e-12)
-    refuse = mock.Mock(side_effect=AssertionError("per-target solve on a certified chain"))
+    refuse = mock.Mock(side_effect=AssertionError("per-target solve inside the matrix"))
     with mock.patch.object(hitting, "hitting_time_to", refuse):
         M = hitting_time_matrix(chain)
-    assert np.all(M.column_bound <= hitting.CERT_GATE)
-    np.testing.assert_allclose(M.values, columns, rtol=1e-12)
+    # at most _LEAF_STATES states: one stack of the same rooted reductions
+    assert np.array_equal(M.values, columns)
 
 
 def test_banded_chains_never_factor_densely(capsys, tmp_path):
     refuse = mock.Mock(side_effect=AssertionError("dense reduction on a banded chain"))
-    with mock.patch.object(hitting, "_rooted_columns", refuse), mock.patch.object(
-        hitting, "_state_reduction", refuse
-    ):
+    with mock.patch.object(hitting, "_rooted_column", refuse), mock.patch.object(
+        hitting, "_dense_matrix", refuse
+    ), mock.patch.object(hitting, "_state_reduction", refuse):
         assert main(["bounds", "--chain", '{"family":"path","n":512}']) == 0
         assert json.loads(capsys.readouterr().out)["argmax_pair"] == [0, 512]
         out = tmp_path / "sweep.csv"
@@ -594,45 +594,76 @@ def assert_within_column_bounds(values, exact, bound):
             assert abs(Fraction(float(values[i, j])) - exact[i][j]) <= b * exact[i][j], (i, j)
 
 
-def test_wide_chains_take_the_certified_one_reduction_route():
+def test_wide_chains_take_one_stack_of_rooted_reductions():
     # a graph walk has no family lumping: the star, the complete graph and
     # the hypercube take the lumped route (tests/test_lumped_route.py)
     spec = ChainSpec("graph", edges=random_connected_graph(12, np.random.default_rng(5), 14))
     chain = build_chain(spec)
     assert not on_tridiagonal_route(chain) and chain.family not in hitting.LUMPINGS
-    refuse = mock.Mock(side_effect=AssertionError("per-target solve on a certified chain"))
+    refuse = mock.Mock(side_effect=AssertionError("per-target solve inside the matrix"))
     with mock.patch.object(hitting, "hitting_time_to", refuse), mock.patch.object(
-        hitting, "_rooted_columns", refuse
+        hitting, "_rooted_column", refuse
     ), mock.patch.object(hitting, "_state_reduction", wraps=hitting._state_reduction) as reduce:
         M = hitting_time_matrix(chain)
-    assert reduce.call_count == 1
+    assert reduce.call_count == 1  # every target rooted in one stack
     exact = fraction_hitting_matrix(chain.rows)
-    assert M.column_bound.shape == (chain.size,)
-    assert np.all(M.column_bound <= hitting.CERT_GATE)
+    assert M.column_bound.shape == (chain.size,) and np.isfinite(M.column_bound).all()
     assert_within_column_bounds(M.values, exact, M.column_bound)
 
 
-def test_refused_columns_fall_back_to_the_per_target_solve():
-    # entries reach 2**40, so the rounding of the residual alone refuses
-    # 25 of the 40 columns; the rooted reductions get them exactly, and so
-    # does the one reduction: the certificate refuses them, not an error
+def test_winning_streak_table_is_exact_and_each_column_the_per_target_solve():
+    # entries reach 2**40, so the rounding of a residual alone once refused 25
+    # of the 40 columns; one stack of rooted reductions gets every one exactly
     chain = build_chain(ChainSpec("winning_streak", n=40))
-    assert np.array_equal(hitting._grounded_matrix(chain), winning_streak_hitting_formula(40))
-    with mock.patch.object(
-        hitting, "_rooted_columns", wraps=hitting._rooted_columns
-    ) as rooted, mock.patch.object(
-        hitting, "_state_reduction", wraps=hitting._state_reduction
-    ) as reduce:
+    with mock.patch.object(hitting, "_state_reduction", wraps=hitting._state_reduction) as reduce:
         M = hitting_time_matrix(chain)
-    (call,) = rooted.call_args_list
-    refused = call.args[1]
-    assert len(refused) == 25
-    assert reduce.call_count == 2  # the one reduction, then one stack of the refused targets
-    assert np.all(M.column_bound[refused] > hitting.CERT_GATE)
+    assert reduce.call_count == 1
     assert np.isfinite(M.column_bound).all()
     np.testing.assert_array_equal(M.values, winning_streak_hitting_formula(40))
-    for j in refused:
+    for j in range(40):
         assert np.array_equal(hitting_time_to(chain, j), M.values[:, j])
+
+
+def _recursive_tree(N, rng):
+    """A random recursive tree: state x > 0 hangs from a uniform state below it."""
+    return np.concatenate([[0], [rng.integers(x) for x in range(1, N)]])
+
+
+def tree_hitting_times(parent):
+    """E_i[tau_j] of the simple walk on a tree with ``parent[x] < x``, in closed form.
+
+    Cutting edge xy leaves x on a side T_x, and the walk from x first reaches
+    y after 2|E(T_x)| + 1 steps on average (Aldous-Fill, ch. 5).  A walk
+    crosses every edge of its path, so E_i[tau_j] sums these edge times up
+    from i to the lowest common ancestor l and down from l to j:
+    E_i[tau_j] = (U_i - U_l) + (D_j - D_l), with U and D the sums from the
+    root of the upward and downward times, all exact integers.
+    """
+    N = parent.size
+    size = np.ones(N, dtype=np.int64)
+    for x in range(N - 1, 0, -1):
+        size[parent[x]] += size[x]
+    up, down = np.zeros(N), np.zeros(N)
+    for x in range(1, N):  # x -> parent: T_x is x's subtree; parent -> x: the rest
+        up[x] = up[parent[x]] + 2 * size[x] - 1
+        down[x] = down[parent[x]] + 2 * (N - size[x]) - 1
+    a, b = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+    while (a != b).any():  # an ancestor has the smaller label
+        a, b = np.where(a > b, parent[a], a), np.where(b > a, parent[b], b)
+    return (up[:, None] - up[a]) + (down[None, :] - down[a])
+
+
+@pytest.mark.parametrize("N", [129, 513, 1025])
+def test_halved_tables_match_the_cycle_and_tree_closed_forms(N):
+    # past _LEAF_STATES the dense table is halved down to the leaves
+    k = (np.arange(N)[None, :] - np.arange(N)[:, None]) % N
+    cycle = build_chain(ChainSpec("graph", edges=[(i, (i + 1) % N) for i in range(N)]))
+    np.testing.assert_allclose(hitting_time_matrix(cycle).values, k * (N - k), rtol=1e-12)
+    parent = _recursive_tree(N, np.random.default_rng(N))
+    tree = build_chain(ChainSpec("graph", edges=[(int(p), x) for x, p in enumerate(parent) if x]))
+    np.testing.assert_allclose(
+        hitting_time_matrix(tree).values, tree_hitting_times(parent), rtol=1e-12
+    )
 
 
 @pytest.mark.parametrize("panel, chunk", [(3, 2), (64, 256)])
@@ -646,8 +677,9 @@ def test_a_stack_reduces_as_each_of_its_arrays(panel, chunk, monkeypatch, rng):
     # bit for bit, so a column of a stack is the column of a stack of one
     for A, B in zip(reduced, alone):
         assert np.array_equal(A, B)
-    for h, A in zip(hitting._times_to_root(reduced), alone):
-        assert np.array_equal(h, hitting._times_to_root(A))
+    steps = rng.uniform(1.0, 3.0, (2, 23))  # mean steps per step, as halving passes down
+    for h, A, c in zip(hitting._times_to_root(reduced, steps), alone, steps):
+        assert np.array_equal(h, hitting._times_to_root(A, c))
 
 
 @pytest.mark.parametrize(

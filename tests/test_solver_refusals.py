@@ -27,6 +27,7 @@ from access_time import (
     hitting,
     hitting_time_matrix,
     hitting_time_to,
+    stationary_distribution,
     transport_scan,
 )
 from access_time.cli import main
@@ -108,7 +109,7 @@ def test_tridiagonal_chain_where_lu_met_a_zero_pivot_is_solved_exactly():
     chain = TransitionMatrix(rows)
     assert chain.bandwidth == (1, 1)
     # the rooted reduction, which the chain would take were it wider, gets it too
-    assert_exact_columns(rows, hitting._rooted_columns(chain, np.arange(5)))
+    assert_exact_columns(rows, np.column_stack([hitting._rooted_column(chain, t) for t in range(5)]))
     exact = fraction_hitting_matrix(rows)
     M = hitting_time_matrix(chain)
     assert np.array_equal(M.column_bound, np.full(5, 15 * hitting.EPS))
@@ -176,6 +177,25 @@ def test_dense_times_past_the_float_range_are_refused():
 
 
 @pytest.mark.filterwarnings("error")
+def test_an_overflowing_stationary_law_is_a_numerical_refusal():
+    # anchored at x_0 = 1, the law's weight of state 1 is near 2**1200: past the
+    # float range, which is a numerical limit (exit 3), not bad input (exit 2)
+    chain = TransitionMatrix(UNDERFLOWING_PIVOT)
+    law = "^the stationary law's weights exceed the float range$"
+    with pytest.raises(np.linalg.LinAlgError, match=law):
+        stationary_distribution(chain)
+    with pytest.raises(np.linalg.LinAlgError, match=law):
+        transport_scan(chain, dirac(0, 3).weights - dirac(1, 3).weights)
+    with pytest.raises(np.linalg.LinAlgError, match=law):
+        access_time(chain, dirac(0, 3), dirac(1, 3))
+    # the matrix needs no law: only the column of target 0 is past the range
+    with pytest.raises(
+        np.linalg.LinAlgError, match="^hitting times of target 0 exceed the float range$"
+    ):
+        hitting_time_matrix(chain)
+
+
+@pytest.mark.filterwarnings("error")
 def test_refusals_raise_no_numpy_warning(capsys):
     # an overflowing scan on the tridiagonal route: one stderr line, exit 3
     code = main(["compute", "--chain", '{"family":"birth_death","n":2,"p":5e-324}',
@@ -185,12 +205,12 @@ def test_refusals_raise_no_numpy_warning(capsys):
     assert captured.err.splitlines() == [
         "numerical error: hitting times of target 0 exceed the float range"
     ]
-    # the dense route: the scan, the one-reduction matrix and its certificate
+    # the dense route's scan, or the matrix behind it
     chain = TransitionMatrix(VANISHING_EXIT)
     for mu, nu in [(0, 1), (0, 2), (1, 0), (2, 1)]:
         with pytest.raises(np.linalg.LinAlgError, match="exceed the float range"):
             access_time(chain, dirac(mu, 3), dirac(nu, 3))
-    # the rooted reduction, alone and stacked in the matrix's fallback
+    # the rooted reduction, alone and stacked in the matrix
     for target in (1, 2):
         with pytest.raises(np.linalg.LinAlgError, match=f"target {target} exceed"):
             hitting_time_to(chain, target)
@@ -252,9 +272,9 @@ def test_zero_sum_keeps_support_and_exact_differences():
 
 
 #: stiff chains as {(i, j): (m, e)} for the rate m * 2**-e, with a dyadic pair;
-#: the matrix route reads columns that its certificate refused, re-solved by
-#: the rooted reduction (a partial-pivoted LU kept them at column_bound 6.8e4
-#: and 31).  The gate refuses the second scan; the first one's far lower scores
+#: the matrix route reads columns off the rooted reduction, where a residual
+#: certificate refused them (a partial-pivoted LU kept them at column_bound
+#: 6.8e4 and 31).  The gate refuses the second scan; the first one's far lower scores
 #: carry estimates near 5e-3, but its maximum's own is 3.3e-9, and it stands
 STIFF_MATRIX_ROUTE = [
     ({(0, 1): (57, 44), (0, 3): (99, 42), (0, 4): (19, 21), (1, 2): (173, 42), (1, 3): (13, 10),

@@ -17,7 +17,7 @@ chain takes its route off its edge list, in this order:
    reduction of the dense rows rooted at its target, which subtracts
    nothing: O(N^3) a column, and O(N^3) for the whole matrix, whose
    targets share their folds by recursive halving.  ``transport_scan``
-   reduces the rows once and reads the result by triangular solves alone.
+   reduces them once, and every route reads a reduction by BLAS solves.
    ``stationary_distribution`` reduces them too, except on a walk on an
    undirected graph (``chains.GRAPH_WALK_FAMILIES``, ``graph`` included),
    which reads pi_i = deg_i / sum deg off its degrees, in O(N).
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import math
 from dataclasses import dataclass
 
@@ -170,15 +169,15 @@ def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
     No route reads 1 - p_ii or subtracts, so a chain that mostly holds
     in place loses no digits to cancellation.  A tridiagonal chain
     (``P.bandwidth`` at most (1, 1)) needs no linear solve: a walk from
-    i to j crosses every edge between them, so
-    E_i[tau_j] is up_i + ... + up_{j-1} below j and down_j + ... +
-    down_{i-1} above it, with the step times of ``P.step_times``, read
-    once per chain; two cumulative sums, O(N), no subtraction and no
-    pivot.  A walk built from a family of ``chains.LUMPINGS`` needs none
-    either: E_i[tau_j] depends only on the distance of i to j, and the
-    distance follows a tridiagonal chain whose step times give the
-    column, in O(N + K deg) with K distances.  Every other chain takes
-    ``_rooted_column``, in O(N^3).  A column that is not finite, from an
+    i to j crosses every edge between them, so E_i[tau_j] is up_i + ...
+    + up_{j-1} below j and down_j + ... + down_{i-1} above it, with the
+    step times of ``P.step_times``, read once per chain; two cumulative
+    sums, O(N), no subtraction and no pivot.  A walk built from a family
+    of ``chains.LUMPINGS`` needs none either: E_i[tau_j] depends only on
+    the distance of i to j, and the distance follows a tridiagonal chain
+    whose step times give the column, in O(N + K deg) with K distances.
+    Every other chain reads the reduction rooted at the target,
+    ``_rooted_factors``, in O(N^3).  A column that is not finite, from an
     overflowing time or a pivot that underflows to 0, raises
     ``LinAlgError``: the target's hitting times exceed the float range.
 
@@ -202,8 +201,8 @@ def hitting_time_to(P: TransitionMatrix, target: int) -> np.ndarray:
         h = _tridiagonal_column(P, target)
     elif P.family in LUMPINGS:
         h = _lumped_column(P, target)
-    else:
-        h = _rooted_column(P, target)
+    else:  # relabelled: state i at _rooted(i, target)
+        h = _times_to_root(_rooted_factors(P, target), 1.0)[_rooted(np.arange(N), target)]
     _refuse_non_finite(h[:, None], (target,))
     return h
 
@@ -286,14 +285,13 @@ def _lumped_matrix(P: TransitionMatrix) -> tuple[np.ndarray, np.ndarray]:
     return values, bound
 
 
-def _rooted_column(P: TransitionMatrix, target: int) -> np.ndarray:
-    """The hitting column to ``target``: E_i[tau_0] off the state reduction of the
-    chain's array written from the edges with the target moved to state 0."""
+def _rooted_factors(P: TransitionMatrix, root: int) -> np.ndarray:
+    """``_factors`` of the state reduction of the chain's array, written from the
+    edges with state ``root`` moved to 0."""
     N, (src, dst) = P.size, P._edges
     A = np.zeros((N, N))
-    A[_rooted(src, target), _rooted(dst, target)] = P.rate
-    h = _times_to_root(_state_reduction(A), np.ones(N))  # relabelled: state i at _rooted(i, target)
-    return h[_rooted(np.arange(N), target)]
+    A[_rooted(src, root), _rooted(dst, root)] = P.rate
+    return _factors(_state_reduction(A))
 
 
 def _rooted(states: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -301,20 +299,33 @@ def _rooted(states: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return np.where(states == roots, 0, states + (states < roots))
 
 
-@np.errstate(all="ignore")  # a zero pivot gives a non-finite time, which is refused
-def _times_to_root(A: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """E_i[tau_0] off an array, or a stack, reduced by ``_state_reduction``, when a
-    step from state i takes c_i steps on average: h = L^-1 U^-1 c in the factors of
-    ``_grounded_factors``, read as x_i = c_i + sum_{k>i} a_ik x_k upward, then x_0 = 0
-    and h_k = (x_k + sum_{j<k} a_kj h_j) / a_kk downward."""
-    N = A.shape[-1]
-    h = c.copy()
-    for i in range(N - 2, -1, -1):
-        h[..., i] += np.einsum("...k,...k", A[..., i, i + 1 :], h[..., i + 1 :])
-    h[..., 0] = 0.0
-    for k in range(1, N):
-        h[..., k] += np.einsum("...j,...j", A[..., k, :k], h[..., :k])
-        h[..., k] /= A[..., k, k]
+def _factors(A: np.ndarray) -> np.ndarray:
+    """Sign, in place, an array or a stack that ``_state_reduction`` reduced: negated
+    off its diagonal, the pivots kept on it, it holds the first-step matrix of the
+    folded states (diagonal = off-diagonal row sum) as L' = U L, with U unit upper,
+    U[i, k] = -a_ik, and L lower, L[k, j] = -a_kj and the pivot L[k, k] =
+    sum_{j<k} a_kj.  Every entry of U^-1 and L^-1 is a sum of products of
+    non-negative numbers over pivots, so no solve with them ever subtracts."""
+    np.negative(A, out=A)
+    k = np.arange(A.shape[-1])
+    A[..., k, k] *= -1.0  # the pivots, as they were
+    return A
+
+
+def _times_to_root(T: np.ndarray, c) -> np.ndarray:
+    """E_i[tau_0] off ``_factors`` of a reduction, or of a stack, when a step from i
+    takes c_i steps on average: h = L^-1 U^-1 c, zeroed at state 0 between the
+    solves, so h_0 = 0 / a_00, with a_00 the chain watched on state 0, 1 up to
+    rounding.  Two BLAS ``dtrsv`` per array, on its F-contiguous transpose,
+    which f2py does not copy."""
+    from scipy.linalg.blas import dtrsv
+
+    N = T.shape[-1]
+    h = np.array(np.broadcast_to(c, T.shape[:-1]), dtype=float)
+    for t, x in zip(T.reshape(-1, N, N), h.reshape(-1, N)):
+        dtrsv(t.T, x, lower=1, trans=1, diag=1, overwrite_x=1)  # U^-1 c, in place
+        x[0] = 0.0
+        dtrsv(t.T, x, trans=1, overwrite_x=1)  # L^-1
     return h
 
 
@@ -337,8 +348,8 @@ def hitting_time_matrix(P: TransitionMatrix) -> HittingTimeMatrix:
     step, (2K - 3) u: (6K - 10) u to first order.  Every other chain
     takes ``_dense_matrix``, O(N^3), each column a subtraction-free
     reduction rooted at its target, with the residual certificate of
-    ``_column_bounds`` as its bound, which gates nothing.  A column that
-    is not finite raises ``LinAlgError`` naming its target.
+    ``_column_bounds``, which gates nothing, in the same array of rates.
+    A column that is not finite raises ``LinAlgError`` naming its target.
     """
     _require_solvable(P)
     N = P.size
@@ -350,15 +361,16 @@ def hitting_time_matrix(P: TransitionMatrix) -> HittingTimeMatrix:
     if P.family in LUMPINGS:
         values, bound = _lumped_matrix(P)
         return HittingTimeMatrix(values, P.labels, column_bound=bound)
-    values = _dense_matrix(P.dense(), np.ones(N))
+    A = P.dense()
+    values = _dense_matrix(A, np.ones(N))
     _refuse_non_finite(values, range(N))
-    return HittingTimeMatrix(values, P.labels, column_bound=_column_bounds(P, values))
+    return HittingTimeMatrix(values, P.labels, column_bound=_column_bounds(P, A, values))
 
 
 @np.errstate(all="ignore")  # a zero pivot gives a non-finite time, which is refused
 def _dense_matrix(A: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """All-pairs hitting times of the chain of rates ``A`` (diagonal unread) when a
-    step from state i takes c_i steps on average, in O(N^3).
+    """All-pairs hitting times of the chain of rates ``A`` (diagonal unread, nothing
+    written) when a step from state i takes c_i steps on average, in O(N^3).
 
     Up to ``_LEAF_STATES`` states, one stack holds the reduction rooted at
     each target, as in ``hitting_time_to``.  More states are halved, and
@@ -367,7 +379,7 @@ def _dense_matrix(A: np.ndarray, c: np.ndarray) -> np.ndarray:
     chain watched on L; x_F = U_FF^-1 c_F is the time spent in F, so
     c_L + A[L, F] x_F counts the steps per step of the watched chain, whose
     times H_LL this function gives; then H_FL = L_FF^-1 (x_F 1^T + A[F, L]
-    H_LL), with U_FF and L_FF the factors of ``_grounded_factors`` on F.
+    H_LL), with U_FF and L_FF the ``_factors`` of F's block.
     Each column is a rooted reduction in another elimination order: only
     the order of non-negative additions changes.
     """
@@ -375,7 +387,8 @@ def _dense_matrix(A: np.ndarray, c: np.ndarray) -> np.ndarray:
     if m <= _LEAF_STATES:
         roots, states = np.arange(m)[:, None], np.arange(m)
         order = np.where(states == 0, roots, states - (states <= roots))  # rooted at roots[r]
-        h = _times_to_root(_state_reduction(A[order[:, :, None], order[:, None, :]]), c[order])
+        B = _state_reduction(A[order[:, :, None], order[:, None, :]])
+        h = _times_to_root(_factors(B), c[order])
         return np.take_along_axis(h, _rooted(states, roots), axis=1).T
     from scipy.linalg.blas import dtrsm
 
@@ -385,11 +398,10 @@ def _dense_matrix(A: np.ndarray, c: np.ndarray) -> np.ndarray:
         order = np.r_[live, folded]
         k = live.stop - live.start
         B = _state_reduction(A[np.ix_(order, order)], stop=k)
-        T = -B[k:, k:]  # U_FF above the diagonal, L_FF on and below it
-        np.fill_diagonal(T, B.diagonal()[k:])
-        x = dtrsm(1.0, T, c[folded, None], diag=1)
+        T = _factors(B[k:, k:]).T  # f2py copies this strided block row by row, untransposed
+        x = dtrsm(1.0, T, c[folded, None], lower=1, trans_a=1, diag=1)  # U_FF^-1
         H[live, live] = _dense_matrix(B[:k, :k], c[live] + B[:k, k:] @ x[:, 0])
-        H[folded, live] = dtrsm(1.0, T, x + B[k:, :k] @ H[live, live], lower=1)
+        H[folded, live] = dtrsm(1.0, T, x + B[k:, :k] @ H[live, live], trans_a=1)  # L_FF^-1
     return H
 
 
@@ -403,8 +415,8 @@ def _state_reduction(A: np.ndarray, stop: int = 1) -> np.ndarray:
     product of column k and row k to the leading block.  The returned
     array keeps, for every k, the row of state k as it was folded in
     ``A[k, :k]``, its pivot in ``A[k, k]`` and the divided column in
-    ``A[:k, k]``: the factored form of ``_grounded_factors``; off its
-    diagonal, ``A[:stop, :stop]`` is the chain watched on 0..stop-1.
+    ``A[:k, k]``, which ``_factors`` signs; off its diagonal,
+    ``A[:stop, :stop]`` is the chain watched on 0..stop-1.
 
     States fold in panels of ``STATIONARY_PANEL``.  Inside a panel, each
     state first receives, on its whole row and column, the pending
@@ -500,35 +512,19 @@ def zero_sum(d: np.ndarray) -> np.ndarray:
     return d - (s / math.fsum(magnitude.tolist())) * magnitude
 
 
-def _grounded_factors(P: TransitionMatrix) -> tuple[functools.partial, ProbabilityVector]:
-    """The first-step matrix grounded at state 0, factored by one state reduction, and pi.
-
-    Negated off its diagonal, the array A of ``_state_reduction`` holds
-    the first-step matrix of states 1..N-1 (diagonal = off-diagonal row
-    sum) as L' = U L: U unit upper with U[i, k] = -a_ik, and L lower with
-    L[k, j] = -a_kj and the pivot L[k, k] = sum_{j<k} a_kj.  Row and
-    column 0 stay in place, with L[0, 0] = 1, and a zero right-hand side
-    at index 0 between the two solves keeps state 0 out of the answer.
-    pi solves x U = e_0 up to normalization: x_0 = 1, x_k = sum_{i<k}
-    x_i a_ik.  Every entry of U^-1 and L^-1 is a sum of products of
-    non-negative numbers over pivots, so no solve ever subtracts.
-    Returns ``(solve, pi)``, with ``solve`` the ``solve_triangular`` of
-    that array: ``unit_diagonal=True`` solves with U, ``lower=True`` with L.
-    An x past the float range (pi_0 that far below another weight) raises
-    ``LinAlgError``.
-    """
-    from scipy.linalg import solve_triangular
+def _grounded_factors(P: TransitionMatrix) -> tuple[np.ndarray, ProbabilityVector]:
+    """``_rooted_factors(P, 0)``, the reduction grounded at state 0, and pi, which
+    solves x U = e_0 up to normalization (x_0 = 1, x_k = sum_{i<k} x_i a_ik) by
+    one ``dtrsv``.  An x past the float range (pi_0 that far below another
+    weight) raises ``LinAlgError``."""
+    from scipy.linalg.blas import dtrsv
 
     _require_solvable(P)
-    A = _state_reduction(P.dense())
-    np.negative(A, out=A)
-    np.fill_diagonal(A, -A.diagonal())
-    A[0, 0] = 1.0
-    solve = functools.partial(solve_triangular, A, check_finite=False)
-    x = solve(np.eye(1, A.shape[0])[0], trans="T", unit_diagonal=True)
+    T = _rooted_factors(P, 0)
+    x = dtrsv(T.T, np.eye(1, P.size)[0], lower=1, diag=1)  # U^T x = e_0
     if not np.isfinite(x).all():
         raise np.linalg.LinAlgError("the stationary law's weights exceed the float range")
-    return solve, ProbabilityVector(x)
+    return T, ProbabilityVector(x)
 
 
 @np.errstate(all="ignore")  # a non-finite result is refused, not warned about
@@ -544,35 +540,37 @@ def transport_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, np.n
     (d @ M)_j = d.h0 - y_j / pi_j (Kemeny-Snell) off one
     ``_state_reduction``.  Here y (I - P) = d with y_0 = 0, and h0 is
     the hitting column to state 0; the identity needs sum(d) = 0.  With
-    the factors L' = U L of ``_grounded_factors``, h0 = L^-1 U^-1 1, and
-    with d split into d+ = max(d, 0) and d- = max(-d, 0),
-    y = (d+ - d-) L^-1 U^-1.
+    the ``_factors`` L' = U L, h0 = L^-1 U^-1 1, and with d split into
+    d+ = max(d, 0) and d- = max(-d, 0), y = y+ - y- = (d+ - d-) L^-1 U^-1.
 
     Every solve adds products of non-negative numbers, so the only
-    cancellation is in the final difference, and eps times the sum of
-    the magnitudes that meet there estimates the error of each score.
-    The estimate leaves out the rounding of the triangular solves themselves, so it
-    is not a bound: on the hypercube at d = 10 to 12, measured while that
-    family still took this route, the error reached 2 to 4 times it.
+    cancellation is in the final difference, where the magnitudes S_j =
+    (d+ + d-).h0 + (y+_j + y-_j) / pi_j meet.  The estimate is (5 + N/8)
+    eps S: eps S for that difference, N/8 eps S for the solves, each of
+    whose entries sums up to N products, and 4 eps S for the reduction and
+    pi.  It is a measured margin, not a bound: the error reached N/13 eps S
+    on the complete graph given as a ``graph`` (N = 65 to 1,025) and 4.5
+    eps S on 9,000 stiff chains of 3 to 14 states, where the reduction's
+    rounding shows.
     """
     d = zero_sum(d)
     if _is_tridiagonal(P):
         return _tridiagonal_scan(P, d)
     if P.family in LUMPINGS:
         return _lumped_scan(P, d)
-    solve, pi = _grounded_factors(P)
-    r = solve(np.ones(pi.dim), unit_diagonal=True)
-    r[0] = 0.0
-    h0 = solve(r, lower=True)
+    from scipy.linalg.blas import dtrsm
+
+    T, pi = _grounded_factors(P)
+    h0 = _times_to_root(T, 1.0)
     rhs = np.column_stack([np.maximum(d, 0.0), np.maximum(-d, 0.0)])
     rhs[0] = 0.0
-    z = solve(rhs, lower=True, trans="T")
+    z = dtrsm(1.0, T.T, rhs)  # L^T z = rhs
     z[0] = 0.0
-    ab = solve(z, trans="T", unit_diagonal=True) / pi.weights[:, None]
+    ab = dtrsm(1.0, T.T, z, lower=1, diag=1) / pi.weights[:, None]  # U^T
     a, b = ab[:, 0], ab[:, 1]
     hp, hm = rhs[:, 0] @ h0, rhs[:, 1] @ h0
     per_target = (hp - hm) - (a - b)
-    return per_target, EPS * ((a + b) + hp + hm)
+    return per_target, (5 + pi.dim / 8) * EPS * ((a + b) + hp + hm)
 
 
 def _tridiagonal_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -637,35 +635,36 @@ def _lumped_scan(P: TransitionMatrix, d: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 @np.errstate(all="ignore")  # a non-finite result is refused, not warned about
-def _column_bounds(P: TransitionMatrix, H: np.ndarray) -> np.ndarray:
-    """The residual certificate b_j of each column H[:, j] of a full table.
+def _column_bounds(P: TransitionMatrix, A: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """The residual certificate b_j of each column H[:, j] of a full table, formed in
+    the array ``A`` of P's rates, which it overwrites.
 
     L is the first-step matrix, L_ik = -p_ik and L_ii = sum_{k != i} p_ik
     (never 1 - p_ii).  For target j, L_j (L without row and column j) is
     an M-matrix, so L_j^-1 >= 0 and L_j^-1 1 = h, the exact column.  A
     computed column h' with h'_j = 0 and residual r = 1 - L_j h' then
-    satisfies |h' - h| = |L_j^-1 r| <= ||r||_inf h entrywise.  The
-    residual is read off two GEMMs, L H and |L| |H|, and each row adds
-    the rounding of its own residual, at most (nnz_i + 2) eps (1 +
-    (|L||H|)_ij) with nnz_i the non-zeros of row i of L, read off the
-    edge list: the off-diagonal out-edges of state i and the diagonal,
-    their positive sum on an irreducible chain.  So
+    satisfies |h' - h| = |L_j^-1 r| <= ||r||_inf h entrywise.  With A's
+    diagonal zeroed, held = diag(L) H and moved = A H, one GEMM, give L H
+    = held - moved and, as H >= 0, |L| |H| = held + moved.  With m_i the
+    off-diagonal out-edges of state i, read off the edge list, and u =
+    eps / 2, held and moved round within m_i u, the difference and 1 - L H
+    add u each: r_ij is formed within (m_i + 2) u (1 + (|L||H|)_ij) to
+    first order.  So with nnz_i = m_i + 1, the non-zeros of row i of L,
 
         b_j = max_{i != j} |1 - (L H)_ij| + (nnz_i + 2) eps (1 + (|L||H|)_ij)
 
-    bounds the relative error of every entry of the column.
+    bounds the relative error of every entry of the column, with margin.
     """
-    L = P.dense()
-    np.negative(L, out=L)
-    np.fill_diagonal(L, 0.0)
-    np.fill_diagonal(L, -L.sum(axis=1))
-    b = L @ H
-    np.subtract(1.0, b, out=b)
-    np.abs(b, out=b)
-    rounding = np.abs(L) @ np.abs(H)
+    np.fill_diagonal(A, 0.0)
+    moved = A @ H
+    LH = np.multiply(A.sum(axis=1)[:, None], H, out=A)  # held, in A's memory
+    LH -= moved
+    rounding = np.multiply(moved, 2.0, out=moved)
+    rounding += LH  # held + moved = |L| |H|, to first order
     rounding += 1.0
     src, dst = P._edges
     rounding *= (np.bincount(src[src != dst], minlength=P.size)[:, None] + 3) * EPS
+    b = np.abs(np.subtract(1.0, LH, out=LH), out=LH)
     b += rounding
     np.fill_diagonal(b, 0.0)
     return b.max(axis=0)

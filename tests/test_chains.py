@@ -16,12 +16,15 @@ from access_time import (
     hitting_time_to,
     random_connected_graph,
     simulate_rule,
+    stationary_distribution,
+    transport_scan,
     truncated_moments,
     validate_chain,
+    winning_streak_hitting_formula,
 )
 from access_time import chains
 from conftest import dirac
-from oracles import binomial_pmf_by_convolution, return_time_period
+from oracles import binomial_pmf_by_convolution, fraction_stationary, return_time_period
 
 
 # --- generators ------------------------------------------------------------
@@ -293,18 +296,29 @@ def test_dense_routes_build_their_arrays_from_the_edges(monkeypatch):
     monkeypatch.setattr(TransitionMatrix, "dense", lambda self: built.append(self) or dense(self))
     scans = _count_row_scans(monkeypatch, chain.size)
     assert validate_chain(chain).irreducible  # the degree law: no dense array
-    M = hitting_time_matrix(chain)  # the one-reduction matrix and its certificate
+    M = hitting_time_matrix(chain)  # the table and its certificate share one array
     h = hitting_time_to(chain, 3)  # the rooted reduction, its array written from the edges
     simulate_rule(chain, dirac(1, 7), dirac(2, 7), samples=1000, seed=0, hitting=M)
-    access_time(chain, dirac(1, 7), dirac(2, 7))  # the transport scan's state reduction
-    # the matrix's state reduction, the certificate's first-step matrix and the
-    # scan's state reduction
-    assert built == [chain] * 3
+    access_time(chain, dirac(1, 7), dirac(2, 7))  # the scan's reduction, written from the edges
+    assert built == [chain]
     np.testing.assert_allclose(h, M.values[:, 3], rtol=1e-12)
     # each dense route writes its own working array from the edges: no scan, no cached view
     assert scans == [] and "rows" not in vars(chain)
     TransitionMatrix(chain.rows)  # a hand-built matrix is scanned once, into its edges
     assert scans == ["nonzero"]
+
+
+def test_the_law_scan_and_column_need_no_dense_view(monkeypatch):
+    # the winning streak is neither tridiagonal nor a graph walk: each of these
+    # solves reduces an array it writes from the edges, rooted at its own state
+    chain = build_chain(ChainSpec("winning_streak", n=10))
+    exact_pi = [float(w) for w in fraction_stationary(chain.dense())]
+    M = winning_streak_hitting_formula(10)
+    d = dirac(0, 10).weights - np.full(10, 0.1)
+    monkeypatch.setattr(TransitionMatrix, "dense", lambda self: pytest.fail("dense view"))
+    np.testing.assert_allclose(stationary_distribution(chain).weights, exact_pi, rtol=1e-14)
+    np.testing.assert_allclose(transport_scan(chain, d)[0], d @ M, rtol=1e-12)
+    assert np.array_equal(hitting_time_to(chain, 3), M[:, 3])
 
 
 def test_step_times_of_tridiagonal_families():

@@ -565,7 +565,7 @@ def test_banded_graph_matches_dense_route(reach):
 
 def test_banded_chains_never_factor_densely(capsys, tmp_path):
     refuse = mock.Mock(side_effect=AssertionError("dense reduction on a banded chain"))
-    with mock.patch.object(hitting, "_rooted_column", refuse), mock.patch.object(
+    with mock.patch.object(hitting, "_rooted_factors", refuse), mock.patch.object(
         hitting, "_dense_matrix", refuse
     ), mock.patch.object(hitting, "_state_reduction", refuse):
         assert main(["bounds", "--chain", '{"family":"path","n":512}']) == 0
@@ -602,7 +602,7 @@ def test_wide_chains_take_one_stack_of_rooted_reductions():
     assert not on_tridiagonal_route(chain) and chain.family not in hitting.LUMPINGS
     refuse = mock.Mock(side_effect=AssertionError("per-target solve inside the matrix"))
     with mock.patch.object(hitting, "hitting_time_to", refuse), mock.patch.object(
-        hitting, "_rooted_column", refuse
+        hitting, "_rooted_factors", refuse
     ), mock.patch.object(hitting, "_state_reduction", wraps=hitting._state_reduction) as reduce:
         M = hitting_time_matrix(chain)
     assert reduce.call_count == 1  # every target rooted in one stack
@@ -678,8 +678,9 @@ def test_a_stack_reduces_as_each_of_its_arrays(panel, chunk, monkeypatch, rng):
     for A, B in zip(reduced, alone):
         assert np.array_equal(A, B)
     steps = rng.uniform(1.0, 3.0, (2, 23))  # mean steps per step, as halving passes down
-    for h, A, c in zip(hitting._times_to_root(reduced, steps), alone, steps):
-        assert np.array_equal(h, hitting._times_to_root(A, c))
+    times = hitting._times_to_root(hitting._factors(reduced), steps)
+    for h, A, c in zip(times, alone, steps):
+        assert np.array_equal(h, hitting._times_to_root(hitting._factors(A), c))
 
 
 @pytest.mark.parametrize(

@@ -51,7 +51,7 @@ def dense_routes_refused():
     inside; yields the mock that records a call of any of them."""
     refuse = mock.Mock(side_effect=AssertionError("dense route on a lumped walk"))
     with mock.patch.object(hitting, "_state_reduction", refuse), mock.patch.object(
-        hitting, "_rooted_column", refuse
+        hitting, "_rooted_factors", refuse
     ), mock.patch.object(hitting, "_dense_matrix", refuse), mock.patch.object(
         TransitionMatrix, "dense", refuse
     ):

@@ -109,7 +109,7 @@ def test_tridiagonal_chain_where_lu_met_a_zero_pivot_is_solved_exactly():
     chain = TransitionMatrix(rows)
     assert chain.bandwidth == (1, 1)
     # the rooted reduction, which the chain would take were it wider, gets it too
-    assert_exact_columns(rows, np.column_stack([hitting._rooted_column(chain, t) for t in range(5)]))
+    assert_exact_columns(rows, hitting._dense_matrix(chain.dense(), np.ones(5)))
     exact = fraction_hitting_matrix(rows)
     M = hitting_time_matrix(chain)
     assert np.array_equal(M.column_bound, np.full(5, 15 * hitting.EPS))

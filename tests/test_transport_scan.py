@@ -125,6 +125,21 @@ def test_gate_refuses_a_scan_that_cancels_its_digits(rates, mu, nu):
     assert abs(Fraction(result.value) - exact) <= 1e-10 * max(1, abs(exact))
 
 
+@pytest.mark.parametrize("N", [65, 257])
+def test_dense_scan_estimate_covers_the_exact_scan(N, rng):
+    # the complete graph given as an edge list takes the dense scan; every
+    # E_i[tau_j], i != j, is N - 1, so (d @ M)_j = (N - 1) (sum(d) - d_j) exactly
+    chain = build_chain(ChainSpec("graph", edges=[(i, j) for i in range(N) for j in range(i)]))
+    mu, nu = dirichlet_pair(rng, N)
+    for d in (dirac(0, N).weights - np.full(N, 1.0 / N), mu.weights - nu.weights):
+        scores, err = transport_scan(chain, d)
+        d = hitting.zero_sum(d)
+        s = sum(map(Fraction, d.tolist()))
+        for j in range(N):
+            exact = (N - 1) * (s - Fraction(d[j]))
+            assert abs(Fraction(scores[j]) - exact) <= Fraction(err[j]), j
+
+
 def test_refused_scan_gives_the_matrix_answer_bit_for_bit(rng):
     chain = build_chain(ChainSpec("birth_death", n=30, p=0.25))
     mu, nu = dirichlet_pair(rng, chain.size)
